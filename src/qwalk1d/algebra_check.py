@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import make_coin, split
+from .coin import check_polar, make_coin, split
 from .errors import ParamViolation, RelationFailure
 
 _INV_SQRT2 = math.sqrt(0.5)
@@ -66,7 +66,7 @@ def build_rep(N: int, alpha: complex, beta: complex) -> CyclicRep:
     alpha = complex(alpha)
     beta = complex(beta)
     for name, val in (("alpha", alpha), ("beta", beta)):
-        if abs(abs(val) - 1.0) > 1e-10:
+        if not abs(abs(val) - 1.0) <= 1e-10:
             raise ParamViolation(f"{name} must have unit modulus, got |{name}| = {abs(val)!r}")
     pv, qv = split(make_coin(alpha, 0.0))
     pw, qw = split(make_coin(0.0, beta))
@@ -94,12 +94,13 @@ def verify_relations(
 
     Raises
     ------
+    ParamViolation
+        If (s, t) fails :func:`qwalk1d.coin.check_polar`.
     RelationFailure
-        Listing every identity whose residual exceeds ``tol``; the full
-        report rides on the exception.
+        Listing every identity whose residual exceeds ``tol`` or is NaN; the
+        full report rides on the exception.
     """
-    if abs(s * s + t * t - 1.0) > 1e-10:
-        raise ParamViolation(f"s^2 + t^2 = {s * s + t * t!r}, expected 1")
+    check_polar(s, t)
     v, w, sigma = rep.V, rep.W, rep.Sigma
     dim = v.shape[0]
     eye = np.eye(dim)
@@ -146,7 +147,7 @@ def verify_relations(
         ),
         "x^2 + y^2 + t^2 = I": res(xs @ xs + ys @ ys + t * t * eye, eye),
     }
-    failing = {k: r for k, r in report.items() if r > tol}
+    failing = {k: r for k, r in report.items() if not r <= tol}
     if failing:
         raise RelationFailure(failing, report)
     return RelationReport(residuals=report)

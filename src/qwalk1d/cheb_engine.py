@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import _check_unit
+from .coin import _check_unit, check_polar
 from .direct_walk import Distribution
 from .errors import ParamViolation, QuadratureDivergence
 
@@ -80,13 +80,6 @@ class TransferQuadruple:
         return self.p1.hi
 
 
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ParamViolation(f"s must lie strictly between 0 and 1, got {s!r}")
-    return s
-
-
 def _recurrence(seed1: np.ndarray, count: int, s: float) -> np.ndarray:
     """Run p_{k+1} = s*(z + 1/z)*p_k - p_{k-1} from p_0 = 1 up to p_count.
 
@@ -109,7 +102,7 @@ def _recurrence(seed1: np.ndarray, count: int, s: float) -> np.ndarray:
 
 def cheb_T_laurent(n: int, s: float) -> LaurentPoly:
     """Coefficients of the degree-n first-kind Chebyshev polynomial at s*(z+1/z)/2."""
-    _check_s(s)
+    check_polar(s)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     # T_1 = s*(z + 1/z)/2
@@ -121,7 +114,7 @@ def cheb_U_laurent(m: int, s: float) -> LaurentPoly:
 
     m = -1 is the zero polynomial by convention (needed for the 0-step case).
     """
-    _check_s(s)
+    check_polar(s)
     if m < -1:
         raise ValueError(f"m must be >= -1, got {m}")
     if m == -1:
@@ -144,7 +137,7 @@ def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
         If s^2 + t^2 differs from 1 by more than 1e-10, or s, t are not
         strictly inside (0, 1).
     """
-    _check_st(s, t)
+    check_polar(s, t)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     tn = cheb_T_laurent(n, s).coeffs
@@ -165,15 +158,6 @@ def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
         q1=LaurentPoly(lo, -t * zinv_um),
         q2=LaurentPoly(lo, tn - odd),
     )
-
-
-def _check_st(s: float, t: float) -> None:
-    _check_s(s)
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ParamViolation(f"t must lie strictly between 0 and 1, got {t!r}")
-    if abs(s * s + t * t - 1.0) > 1e-10:
-        raise ParamViolation(f"s^2 + t^2 = {s * s + t * t!r}, expected 1")
 
 
 def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution:
@@ -226,7 +210,7 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
         the polynomial degree).
     """
     w = complex(w)
-    if abs(abs(w) - 1.0) > 1e-10:
+    if not abs(abs(w) - 1.0) <= 1e-10:
         raise ParamViolation(f"w must lie on the unit circle, got |w| = {abs(w)!r}")
     lo = max(p.lo, q.lo)
     hi = min(p.hi, q.hi)

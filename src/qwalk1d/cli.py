@@ -16,13 +16,13 @@ asserted with a 1.1 safety factor.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cheb_engine, direct_walk, limit_law
 from .algebra_check import build_rep, verify_relations
-from .coin import CoinMatrix, make_coin, polar, psi_from_phi
+from .coin import CoinMatrix, PolarParams, _check_unit, check_polar, make_coin, polar, psi_from_phi
 from .errors import (
     DegenerateCoin,
     InvalidConfig,
@@ -46,12 +46,36 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 
-WORKERS_ENV = "QWALK1D_WORKERS"
+# Verb name -> help text; ``main`` runs the module's ``cmd_<verb>``.
+VERBS = {
+    "simulate": "direct vs closed-form distributions per step count",
+    "limit": "Kolmogorov distance of the rescaled law to the limit CDF",
+    "charfn": "characteristic-function convergence to its limit",
+    "algebra": "operator identity residuals on a cyclic lattice",
+    "asym": "contour-integral convergence to closed limits",
+}
+
+# Tolerance defaults; a pinned threshold has none and is None when omitted.
+TOL_DEFAULTS = {
+    "simulate_gap": 1e-10,
+    "algebra": 1e-12,
+    "kolmogorov_pinned": None,
+    "charfn_pinned": None,
+    "asym_pinned": None,
+    "parity_zero": 1e-10,
+    "safety_factor": 1.1,
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description; every number is finite.
+
+    ``algebra`` maps ``N`` and ``seed`` to ints and ``alpha``/``beta`` to a
+    complex or None; ``asym`` maps ``ks`` to a list of ints, ``xis`` to a list
+    of floats and ``n_grid`` to a list of ints; ``tol`` maps every key of
+    :data:`TOL_DEFAULTS` to a float, or to None for an omitted pinned value.
+    """
 
     coin: CoinMatrix
     phi: np.ndarray
@@ -62,98 +86,120 @@ class ExperimentConfig:
     asym: dict
     tol: dict
     max_n: int
-    raw: dict = field(repr=False, default_factory=dict)
 
 
-def _parse_complex(pair, name: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
-    ):
+def _number(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and (low is None or value >= low):
+        return value
+    bound = "" if low is None else f" >= {low}"
+    raise InvalidConfig(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _complex(pair, name: str) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
         raise InvalidConfig(f"{name} must be a [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    return complex(_number(pair[0], f"{name}.re"), _number(pair[1], f"{name}.im"))
 
 
-def _parse_grid(values, name: str, allow_zero: bool = False) -> list[int]:
+def _object(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(values, name: str, parse) -> list:
     if not isinstance(values, list) or not values:
         raise InvalidConfig(f"{name} must be a non-empty list")
-    out = []
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidConfig(f"{name} entries must be integers, got {v!r}")
-        if v < 0 or (v == 0 and not allow_zero):
-            raise InvalidConfig(f"{name} entries must be positive, got {v}")
-        out.append(v)
+    return [parse(v, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
+def _grid(values, name: str, low: int) -> list[int]:
+    out = _list(values, name, lambda v, where: _integer(v, where, low))
     if any(b <= a for a, b in zip(out, out[1:])):
         raise InvalidConfig(f"{name} must be strictly increasing")
     return out
 
 
 def load_config(path: str | None) -> ExperimentConfig:
-    """Load a JSON config, or the packaged default when path is None."""
-    if path is None:
-        text = resources.files("qwalk1d").joinpath("data/default_config.json").read_text()
-    else:
-        text = Path(path).read_text()
+    """Load a JSON config, or the packaged default when path is None.
+
+    The only place config values are parsed: every field comes back typed
+    and finite, and anything malformed raises :class:`InvalidConfig`.
+    """
     try:
+        if path is None:
+            text = resources.files("qwalk1d").joinpath("data/default_config.json").read_text()
+        else:
+            text = Path(path).read_text()
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InvalidConfig(f"cannot read config: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"config must be a JSON object, got {type(raw).__name__}")
     if raw.get("schema_version") != 1:
         raise InvalidConfig(f"unsupported schema_version {raw.get('schema_version')!r}")
-    coin_raw = raw.get("coin", {})
+    coin_raw = _object(raw, "coin")
     try:
         coin = make_coin(
-            _parse_complex(coin_raw.get("a"), "coin.a"),
-            _parse_complex(coin_raw.get("b"), "coin.b"),
+            _complex(coin_raw.get("a"), "coin.a"), _complex(coin_raw.get("b"), "coin.b")
         )
     except NormViolation as exc:
         raise InvalidConfig(f"coin failed validation: {exc}") from exc
     phi_raw = raw.get("phi")
     if not isinstance(phi_raw, list) or len(phi_raw) != 2:
         raise InvalidConfig("phi must be a list of two [re, im] pairs")
-    phi = np.array(
-        [_parse_complex(phi_raw[0], "phi[0]"), _parse_complex(phi_raw[1], "phi[1]")]
-    )
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise InvalidConfig(f"phi must be a unit vector, got norm {np.linalg.norm(phi)!r}")
-    algebra = dict(raw.get("algebra", {}))
-    algebra.setdefault("N", 16)
-    algebra.setdefault("alpha", None)
-    algebra.setdefault("beta", None)
-    algebra.setdefault("seed", 0)
-    if not isinstance(algebra["N"], int) or algebra["N"] < 3:
-        raise InvalidConfig(f"algebra.N must be an integer >= 3, got {algebra['N']!r}")
-    asym = dict(raw.get("asym", {}))
-    asym.setdefault("ks", [0, 1, 2])
-    asym.setdefault("xis", [0.0, 1.0])
-    asym["n_grid"] = _parse_grid(asym.get("n_grid", [200, 2000]), "asym.n_grid")
-    tol = dict(raw.get("tol", {}))
-    tol.setdefault("simulate_gap", 1e-10)
-    tol.setdefault("algebra", 1e-12)
-    tol.setdefault("safety_factor", 1.1)
-    tol.setdefault("parity_zero", 1e-10)
-    max_n = raw.get("max_n", direct_walk.DEFAULT_MAX_STEPS)
-    if not isinstance(max_n, int) or max_n < 0:
-        raise InvalidConfig(f"max_n must be a non-negative integer, got {max_n!r}")
-    cfg = ExperimentConfig(
+    phi = np.array([_complex(phi_raw[0], "phi[0]"), _complex(phi_raw[1], "phi[1]")])
+    try:
+        _check_unit(phi)
+    except NormViolation as exc:
+        raise InvalidConfig(f"phi failed validation: {exc}") from exc
+    xi_grid = _list(raw.get("xi_grid", [0.5, 1.0, 2.0]), "xi_grid", _number)
+    if not any(xi_grid):
+        raise InvalidConfig("xi_grid needs a non-zero entry: at xi = 0 every gap is 0")
+    alg = _object(raw, "algebra")
+    asym = _object(raw, "asym")
+    tol_raw = _object(raw, "tol")
+    tol = {}
+    for key, default in TOL_DEFAULTS.items():
+        value = tol_raw.get(key, default)
+        tol[key] = None if value is None and default is None else _number(value, f"tol.{key}")
+    return ExperimentConfig(
         coin=coin,
         phi=phi,
-        steps=_parse_grid(raw.get("steps", [1, 2, 3]), "steps", allow_zero=True),
-        n_grid=_parse_grid(raw.get("n_grid", [125, 250, 500, 1000, 2000]), "n_grid"),
-        xi_grid=[float(x) for x in raw.get("xi_grid", [0.5, 1.0, 2.0])],
-        algebra=algebra,
-        asym=asym,
+        steps=_grid(raw.get("steps", [1, 2, 3]), "steps", 0),
+        n_grid=_grid(raw.get("n_grid", [125, 250, 500, 1000, 2000]), "n_grid", 1),
+        xi_grid=xi_grid,
+        algebra={
+            "N": _integer(alg.get("N", 16), "algebra.N", 3),
+            "alpha": None if alg.get("alpha") is None else _complex(alg["alpha"], "algebra.alpha"),
+            "beta": None if alg.get("beta") is None else _complex(alg["beta"], "algebra.beta"),
+            "seed": _integer(alg.get("seed", 0), "algebra.seed", 0),
+        },
+        asym={
+            "ks": _list(asym.get("ks", [0, 1, 2]), "asym.ks", _integer),
+            "xis": _list(asym.get("xis", [0.0, 1.0]), "asym.xis", _number),
+            "n_grid": _grid(asym.get("n_grid", [200, 2000]), "asym.n_grid", 1),
+        },
         tol=tol,
-        max_n=max_n,
-        raw=raw,
+        max_n=_integer(raw.get("max_n", direct_walk.DEFAULT_MAX_STEPS), "max_n", 0),
     )
-    return cfg
 
 
 def _require_within_max(cfg: ExperimentConfig, ns: list[int]) -> None:
-    if ns and max(ns) > cfg.max_n:
+    if max(ns) > cfg.max_n:
         raise InvalidConfig(f"requested n = {max(ns)} exceeds max_n = {cfg.max_n}")
 
 
@@ -171,24 +217,33 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _worker_count() -> int:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write rows atomically: ints as they are, floats with 17 significant digits."""
+    lines = [header]
+    lines.extend(",".join(str(v) if isinstance(v, int) else f"{v:.17g}" for v in row) for row in rows)
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _polar(cfg: ExperimentConfig, what: str) -> PolarParams:
+    """The coin's polar parameters; for ``what``, a degenerate coin is a config error."""
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+        return polar(cfg.coin)
+    except DegenerateCoin as exc:
+        raise InvalidConfig(f"{what} needs a, b != 0: {exc}") from exc
 
 
-def _map_cells(fn, items):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _threshold(cfg: ExperimentConfig, key: str, override: float | None) -> float:
+    """The --tol override, else the pinned ``tol.<key>`` times the safety factor."""
+    if override is not None:
+        return override
+    if cfg.tol[key] is None:
+        raise InvalidConfig(f"tol.{key} missing from config")
+    return cfg.tol[key] * cfg.tol["safety_factor"]
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, tol: float | None = None) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Direct and closed-form distributions per step count, plus their gap."""
-    gap_tol = cfg.tol["simulate_gap"] if tol is None else tol
+    gap_tol = cfg.tol["simulate_gap"] if override is None else override
     _require_within_max(cfg, cfg.steps)
     try:
         pol = polar(cfg.coin)
@@ -209,49 +264,32 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, tol: float | None = None)
             raise AssertionError("direct and closed-form windows disagree")
         gap = float(np.max(np.abs(d.probs - q.probs)))
         rows.append((n, gap))
-        status = "ok" if gap < gap_tol else "FAIL"
-        print(f"simulate n={n}: max |direct - cheb| = {gap:.3e} [{status}]")
-        if gap >= gap_tol and failed_n is None:
+        ok = gap < gap_tol
+        print(f"simulate n={n}: max |direct - cheb| = {gap:.3e} [{'ok' if ok else 'FAIL'}]")
+        if not ok and failed_n is None:
             failed_n = n
-    buf = io.StringIO()
-    buf.write("n,max_abs_gap\n")
-    for n, gap in rows:
-        buf.write(f"{n},{gap:.17g}\n")
-    atomic_write(out_dir / "gaps.csv", buf.getvalue())
+    _write_csv(out_dir / "gaps.csv", "n,max_abs_gap", rows)
     if failed_n is not None:
         print(f"simulate: first failing n = {failed_n}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_PASS
 
 
-def cmd_limit(cfg: ExperimentConfig, out_dir: Path, threshold: float | None = None) -> int:
+def cmd_limit(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Kolmogorov distance between the rescaled distribution and the limit CDF."""
+    threshold = _threshold(cfg, "kolmogorov_pinned", override)
     _require_within_max(cfg, cfg.n_grid)
-    try:
-        pol = polar(cfg.coin)
-        lam = limit_law.lambda_phi(cfg.phi, cfg.coin)
-    except DegenerateCoin as exc:
-        raise InvalidConfig(f"limit law needs a, b != 0: {exc}") from exc
-    ld = limit_law.LimitDensity(pol.s, pol.t, lam)
+    pol = _polar(cfg, "limit law")
+    ld = limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
     rows = []
     for n, st in direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.n_grid, cfg.max_n):
-        dist = direct_walk.distribution(st)
-        rows.append((n, limit_law.kolmogorov_distance(dist, ld, n)))
+        rows.append((n, limit_law.kolmogorov_distance(direct_walk.distribution(st), ld, n)))
         print(f"limit n={n}: D_n = {rows[-1][1]:.6g}")
-    buf = io.StringIO()
-    buf.write("n,Dn\n")
-    for n, dn in rows:
-        buf.write(f"{n},{dn:.17g}\n")
-    atomic_write(out_dir / "kolmogorov.csv", buf.getvalue())
+    _write_csv(out_dir / "kolmogorov.csv", "n,Dn", rows)
     ys = np.linspace(-pol.s, pol.s, 401)
     atomic_write(out_dir / "density_cdf.csv", limit_law.density_cdf_csv(ld, ys))
-    if threshold is None:
-        pinned = cfg.tol.get("kolmogorov_pinned")
-        if pinned is None:
-            raise InvalidConfig("tol.kolmogorov_pinned missing from config")
-        threshold = pinned * cfg.tol["safety_factor"]
     final_n, final_d = rows[-1]
-    if final_d >= threshold:
+    if not final_d < threshold:
         print(
             f"limit: D_{final_n} = {final_d:.17g} exceeds threshold {threshold:.17g}",
             file=sys.stderr,
@@ -260,67 +298,48 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path, threshold: float | None = No
     return EXIT_PASS
 
 
-def cmd_charfn(cfg: ExperimentConfig, out_dir: Path, threshold: float | None = None) -> int:
+def cmd_charfn(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Gap between the finite-n characteristic function at xi/n and its limit."""
+    threshold = _threshold(cfg, "charfn_pinned", override)
     _require_within_max(cfg, cfg.n_grid)
-    try:
-        pol = polar(cfg.coin)
-    except DegenerateCoin as exc:
-        raise InvalidConfig(f"charfn needs a, b != 0: {exc}") from exc
+    pol = _polar(cfg, "charfn")
     psi = psi_from_phi(cfg.phi, pol)
     ld = limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
     limits = {xi: limit_law.limit_char_fn(ld, xi) for xi in cfg.xi_grid}
-    buf = io.StringIO()
-    buf.write("n,xi,re_en,im_en,re_limit,im_limit,gap\n")
-    last_row_max = 0.0
+    rows = []
     for n in cfg.n_grid:
-        row_max = 0.0
+        gaps = []
         for xi in cfg.xi_grid:
             _, _, _, e_n = cheb_engine.char_fn_components(psi, n, pol.s, pol.t, xi / n)
             lim = limits[xi]
-            gap = abs(e_n - lim)
-            row_max = max(row_max, gap)
-            buf.write(
-                f"{n},{xi:.17g},{e_n.real:.17g},{e_n.imag:.17g},"
-                f"{lim.real:.17g},{lim.imag:.17g},{gap:.17g}\n"
-            )
+            gaps.append(abs(e_n - lim))
+            rows.append((n, xi, e_n.real, e_n.imag, lim.real, lim.imag, gaps[-1]))
+        row_max = float(np.max(gaps))  # unlike max(), np.max keeps a NaN
         print(f"charfn n={n}: max gap over xi grid = {row_max:.3e}")
-        last_row_max = row_max
-    atomic_write(out_dir / "charfn.csv", buf.getvalue())
-    if threshold is None:
-        pinned = cfg.tol.get("charfn_pinned")
-        if pinned is None:
-            raise InvalidConfig("tol.charfn_pinned missing from config")
-        threshold = pinned * cfg.tol["safety_factor"]
-    if last_row_max >= threshold:
+    _write_csv(out_dir / "charfn.csv", "n,xi,re_en,im_en,re_limit,im_limit,gap", rows)
+    if not row_max < threshold:
         print(
-            f"charfn: largest-n row max {last_row_max:.17g} exceeds threshold {threshold:.17g}",
+            f"charfn: largest-n row max {row_max:.17g} exceeds threshold {threshold:.17g}",
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILED
     return EXIT_PASS
 
 
-def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, tol: float | None = None) -> int:
+def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Operator identity residuals on the cyclic representation, as JSON."""
-    resid_tol = cfg.tol["algebra"] if tol is None else tol
+    resid_tol = cfg.tol["algebra"] if override is None else override
     alg = cfg.algebra
     rng = np.random.default_rng(alg["seed"])
-    alpha = (
-        _parse_complex(alg["alpha"], "algebra.alpha")
-        if alg["alpha"] is not None
-        else complex(np.exp(2j * np.pi * rng.random()))
-    )
-    beta = (
-        _parse_complex(alg["beta"], "algebra.beta")
-        if alg["beta"] is not None
-        else complex(np.exp(2j * np.pi * rng.random()))
-    )
+    alpha = alg["alpha"] if alg["alpha"] is not None else complex(np.exp(2j * np.pi * rng.random()))
+    beta = alg["beta"] if alg["beta"] is not None else complex(np.exp(2j * np.pi * rng.random()))
     try:
         pol = polar(cfg.coin)
+        check_polar(pol.s, pol.t)
         s_val, t_val = pol.s, pol.t
-    except DegenerateCoin:
-        s_val = t_val = float(np.sqrt(0.5))
+    except (DegenerateCoin, ParamViolation):
+        # the moduli enter only the two scaled identities; check them at the Hadamard values
+        s_val = t_val = math.sqrt(0.5)
     rep = build_rep(alg["N"], alpha, beta)
     try:
         report = verify_relations(rep, tol=resid_tol, s=s_val, t=t_val)
@@ -336,61 +355,33 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, tol: float | None = None) 
     return EXIT_PASS
 
 
-def cmd_asym(cfg: ExperimentConfig, out_dir: Path, threshold: float | None = None) -> int:
+def cmd_asym(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Finite-n contour integrals vs their limits over the n grid."""
-    try:
-        pol = polar(cfg.coin)
-    except DegenerateCoin as exc:
-        raise InvalidConfig(f"asym needs a, b != 0: {exc}") from exc
-    s = pol.s
-    ks = [int(k) for k in cfg.asym["ks"]]
-    xis = [float(x) for x in cfg.asym["xis"]]
-    n_grid = cfg.asym["n_grid"]
+    threshold = _threshold(cfg, "asym_pinned", override)
+    s = _polar(cfg, "asym").s
+    ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
     try:
         limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
-
-        def cell(args):
-            n, k, xi = args
-            return args, limit_law.asym_integrals(n, k, xi, s)
-
-        cells = [(n, k, xi) for n in n_grid for k in ks for xi in xis]
-        results = _map_cells(cell, cells)
     except QuadratureFailure as exc:
         print(f"asym: quadrature failed (s={s!r}): {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    buf = io.StringIO()
-    buf.write("n,k,xi,reA,imA,reB,imB,reC,imC,reD,imD,gapA,gapB,gapC,gapD\n")
-    largest_n = n_grid[-1]
-    final_max_gap = 0.0
-    parity_ok = True
-    for (n, k, xi), fin in results:
-        lim = limits[(k, xi)]
-        gaps = [abs(f - l) for f, l in zip(fin, lim)]
-        if n == largest_n:
-            final_max_gap = max(final_max_gap, max(gaps))
-        vanishing = (fin[0], fin[3]) if k % 2 else (fin[1], fin[2])
-        if max(abs(v) for v in vanishing) >= cfg.tol["parity_zero"]:
-            parity_ok = False
-        buf.write(
-            f"{n},{k},{xi:.17g},"
-            + ",".join(f"{v:.17g}" for f in fin for v in (f.real, f.imag))
-            + ","
-            + ",".join(f"{g:.17g}" for g in gaps)
-            + "\n"
-        )
-    atomic_write(out_dir / "asym.csv", buf.getvalue())
-    if threshold is None:
-        pinned = cfg.tol.get("asym_pinned")
-        if pinned is None:
-            raise InvalidConfig("tol.asym_pinned missing from config")
-        threshold = pinned * cfg.tol["safety_factor"]
-    print(f"asym: max gap at n={largest_n} is {final_max_gap:.3e} (threshold {threshold:.3e})")
-    if not parity_ok:
+    rows, final_gaps, vanishing = [], [], []
+    for n, k, xi in itertools.product(n_grid, ks, xis):
+        fin = limit_law.asym_integrals(n, k, xi, s)
+        gaps = [abs(f - l) for f, l in zip(fin, limits[(k, xi)])]
+        if n == n_grid[-1]:
+            final_gaps.extend(gaps)
+        vanishing.extend(abs(v) for v in ((fin[0], fin[3]) if k % 2 else (fin[1], fin[2])))
+        rows.append((n, k, xi, *(v for f in fin for v in (f.real, f.imag)), *gaps))
+    _write_csv(out_dir / "asym.csv", "n,k,xi,reA,imA,reB,imB,reC,imC,reD,imD,gapA,gapB,gapC,gapD", rows)
+    final_max_gap = float(np.max(final_gaps))
+    print(f"asym: max gap at n={n_grid[-1]} is {final_max_gap:.3e} (threshold {threshold:.3e})")
+    if not np.max(vanishing) < cfg.tol["parity_zero"]:
         print("asym: parity-vanishing columns exceed tolerance", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    if final_max_gap >= threshold:
+    if not final_max_gap < threshold:
         print(
-            f"asym: gap {final_max_gap:.17g} at n={largest_n} exceeds {threshold:.17g}",
+            f"asym: gap {final_max_gap:.17g} at n={n_grid[-1]} exceeds {threshold:.17g}",
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILED
@@ -403,13 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="quantum-walk distribution experiments with pass/fail exit codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "direct vs closed-form distributions per step count"),
-        ("limit", "Kolmogorov distance of the rescaled law to the limit CDF"),
-        ("charfn", "characteristic-function convergence to its limit"),
-        ("algebra", "operator identity residuals on a cyclic lattice"),
-        ("asym", "contour-integral convergence to closed limits"),
-    ):
+    for name, help_text in VERBS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config path (default: packaged config)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -431,21 +416,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.max_n < 0:
                 raise InvalidConfig(f"--max-n must be non-negative, got {args.max_n}")
             cfg.max_n = args.max_n
-        out_dir = Path(args.out)
-        if args.command == "simulate":
-            code = cmd_simulate(cfg, out_dir, tol=args.tol)
-        elif args.command == "limit":
-            code = cmd_limit(cfg, out_dir, threshold=args.tol)
-        elif args.command == "charfn":
-            code = cmd_charfn(cfg, out_dir, threshold=args.tol)
-        elif args.command == "algebra":
-            code = cmd_algebra(cfg, out_dir, tol=args.tol)
-        else:
-            code = cmd_asym(cfg, out_dir, threshold=args.tol)
-    except (InvalidConfig, FileNotFoundError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (NormViolation, ParamViolation, ResourceLimit) as exc:
+        if args.tol is not None and not math.isfinite(args.tol):
+            raise InvalidConfig(f"--tol must be finite, got {args.tol}")
+        # looked up at call time, so a cmd_<verb> swapped into the module is the one run
+        verb = globals()[f"cmd_{args.command}"]
+        code = verb(cfg, Path(args.out), args.tol)
+    except (InvalidConfig, NormViolation, ParamViolation, ResourceLimit) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except QWalkError as exc:

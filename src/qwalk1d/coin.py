@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoin, NormViolation
+from .errors import DegenerateCoin, NormViolation, ParamViolation
 
 INPUT_NORM_TOL = 1e-10   # inputs may come from text parsing
 INTERNAL_TOL = 1e-12     # values we construct ourselves
@@ -54,12 +54,12 @@ def make_coin(a: complex, b: complex) -> CoinMatrix:
     Raises
     ------
     NormViolation
-        If |a|^2 + |b|^2 differs from 1 by more than 1e-10.
+        If |a|^2 + |b|^2 differs from 1 by more than 1e-10, or is NaN.
     """
     a = complex(a)
     b = complex(b)
     norm2 = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm2 - 1.0) > INPUT_NORM_TOL:
+    if not abs(norm2 - 1.0) <= INPUT_NORM_TOL:
         raise NormViolation(f"|a|^2 + |b|^2 = {norm2!r}, expected 1")
     return CoinMatrix(a, b)
 
@@ -92,6 +92,28 @@ def polar(c: CoinMatrix) -> PolarParams:
     return PolarParams(s=s, t=t, alpha=c.a / s, beta=c.b / t)
 
 
+def check_polar(s: float, t: float | None = None) -> None:
+    """Require 0 < s < 1 and, when t is given, 0 < t < 1 with s^2 + t^2 = 1.
+
+    Every closed form, the limit density and the scaled operator identities
+    rely on this check.  NaN fails every comparison, so it is rejected too.
+
+    Raises
+    ------
+    ParamViolation
+        If s (or t) lies outside (0, 1), or s^2 + t^2 differs from 1 by more
+        than 1e-10.
+    """
+    if not 0.0 < s < 1.0:
+        raise ParamViolation(f"s must lie strictly between 0 and 1, got {s!r}")
+    if t is None:
+        return
+    if not 0.0 < t < 1.0:
+        raise ParamViolation(f"t must lie strictly between 0 and 1, got {t!r}")
+    if not abs(s * s + t * t - 1.0) <= INPUT_NORM_TOL:
+        raise ParamViolation(f"s^2 + t^2 = {s * s + t * t!r}, expected 1")
+
+
 def psi_from_phi(phi: np.ndarray, p: PolarParams) -> np.ndarray:
     """Map a position-basis initial spin phi to its algebra-basis twin psi.
 
@@ -117,7 +139,7 @@ def phi_from_psi(psi: np.ndarray, p: PolarParams) -> np.ndarray:
 
 def _check_unit(v: np.ndarray, tol: float = INPUT_NORM_TOL) -> None:
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise NormViolation(f"expected a unit vector, got norm {norm!r}")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import CoinMatrix, PolarParams, _check_unit
+from .coin import CoinMatrix, _check_unit, check_polar
 from .direct_walk import Distribution
 from .errors import DegenerateCoin, ParamViolation, QuadratureFailure
 
@@ -35,11 +35,8 @@ class LimitDensity:
     lam: float
 
     def __post_init__(self):
-        if not (0.0 < self.s < 1.0 and 0.0 < self.t < 1.0):
-            raise ParamViolation(f"need 0 < s, t < 1, got s={self.s!r}, t={self.t!r}")
-        if abs(self.s**2 + self.t**2 - 1.0) > 1e-10:
-            raise ParamViolation(f"s^2 + t^2 = {self.s**2 + self.t**2!r}, expected 1")
-        if abs(self.lam) > 1.0 / self.s + 1e-12:
+        check_polar(self.s, self.t)
+        if not abs(self.lam) <= 1.0 / self.s + 1e-12:
             raise ParamViolation(
                 f"|lambda| = {abs(self.lam)!r} exceeds 1/s = {1.0 / self.s!r}; "
                 "the density would go negative"
@@ -50,7 +47,7 @@ def lambda_psi(psi: np.ndarray, s: float, t: float) -> float:
     """Asymmetry parameter |psi_1|^2 - |psi_2|^2 + 2 Re(psi_1 conj(psi_2)) t/s."""
     psi = np.asarray(psi, dtype=complex)
     _check_unit(psi)
-    _check_st_pair(s, t)
+    check_polar(s, t)
     p1, p2 = complex(psi[0]), complex(psi[1])
     return abs(p1) ** 2 - abs(p2) ** 2 + 2.0 * (p1 * p2.conjugate()).real * t / s
 
@@ -72,16 +69,6 @@ def lambda_phi(phi: np.ndarray, c: CoinMatrix) -> float:
     if abs(corr.imag) > 1e-12:
         raise ParamViolation(f"imaginary residue {corr.imag!r} in a real quantity")
     return abs(p1) ** 2 - abs(p2) ** 2 - corr.real / abs(c.a) ** 2
-
-
-def from_psi(psi: np.ndarray, s: float, t: float) -> LimitDensity:
-    """Limit density for initial spin psi at parameters (s, t)."""
-    return LimitDensity(s=s, t=t, lam=lambda_psi(psi, s, t))
-
-
-def from_phi(phi: np.ndarray, c: CoinMatrix, p: PolarParams) -> LimitDensity:
-    """Limit density for a position-basis initial spin and its coin."""
-    return LimitDensity(s=p.s, t=p.t, lam=lambda_phi(phi, c))
 
 
 def density(d: LimitDensity, y) -> float | np.ndarray:
@@ -212,8 +199,7 @@ def asym_integrals(n: int, k: int, xi: float, s: float) -> tuple[complex, comple
     which exceeds the trigonometric bandwidth 2n + |k| of every integrand, so
     the rule is exact to roundoff.
     """
-    if not 0.0 < s < 1.0:
-        raise ParamViolation(f"s must lie strictly between 0 and 1, got {s!r}")
+    check_polar(s)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     m = 4 * n + 4 * abs(k) + 64
@@ -239,8 +225,7 @@ def asym_limits(k: int, xi: float, s: float) -> tuple[complex, complex, complex,
     the surviving pair comes from one smooth integral after the edge
     substitution x = s*sin(theta), with C = -B by construction.
     """
-    if not 0.0 < s < 1.0:
-        raise ParamViolation(f"s must lie strictly between 0 and 1, got {s!r}")
+    check_polar(s)
     half_pi = math.pi / 2
 
     def base(theta: np.ndarray) -> np.ndarray:
@@ -295,10 +280,3 @@ def density_cdf_csv(d: LimitDensity, ys: np.ndarray) -> str:
     for y, de, cd in zip(ys, np.atleast_1d(dens), cdfs):
         buf.write(f"{y:.17g},{de:.17g},{cd:.17g}\n")
     return buf.getvalue()
-
-
-def _check_st_pair(s: float, t: float) -> None:
-    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
-        raise ParamViolation(f"need 0 < s, t < 1, got s={s!r}, t={t!r}")
-    if abs(s * s + t * t - 1.0) > 1e-10:
-        raise ParamViolation(f"s^2 + t^2 = {s * s + t * t!r}, expected 1")

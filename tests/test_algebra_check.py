@@ -105,6 +105,21 @@ class TestVerifyRelations:
         with pytest.raises(ParamViolation):
             verify_relations(rep, s=0.6, t=0.7)
 
+    @pytest.mark.parametrize("s, t", [(math.nan, 0.8), (0.6, math.nan), (1.0, 0.0)])
+    def test_non_finite_or_edge_s_t(self, s, t):
+        with pytest.raises(ParamViolation):
+            verify_relations(build_rep(4, 1.0, 1.0), s=s, t=t)
+
+    def test_nan_residual_fails(self):
+        rep = build_rep(4, 1.0, 1.0)
+        w_nan = rep.W.copy()
+        w_nan[0, 1] = np.nan
+        broken = CyclicRep(N=rep.N, V=rep.V, W=w_nan, Sigma=rep.Sigma, alpha=rep.alpha, beta=rep.beta)
+        with pytest.raises(RelationFailure) as exc_info:
+            verify_relations(broken, tol=1e-12)
+        assert "W^2 = -I" in exc_info.value.failing
+        assert math.isnan(exc_info.value.failing["W^2 = -I"])
+
     def test_perturbed_w_fails_named_identity(self):
         rep = build_rep(8, 1.0, 1.0)
         rng = np.random.default_rng(42)

@@ -1,18 +1,24 @@
 """End-to-end tests for the command-line harness: files, exit codes, configs."""
 
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qwalk1d.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
     EXIT_PASS,
+    TOL_DEFAULTS,
     atomic_write,
     load_config,
     main,
 )
+from qwalk1d.coin import CoinMatrix
 from qwalk1d.errors import InvalidConfig
 
 R = math.sqrt(0.5)
@@ -47,6 +53,26 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def replaced(cfg, key, value):
+    """cfg with the field at dotted ``key`` set to value; key None replaces it all."""
+    if key is None:
+        return value
+    *parents, leaf = key.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    return cfg
+
+
+# Every field of base_config, by dotted path.
+FIELDS = [
+    f"{top}.{sub}" if sub else top
+    for top, value in base_config().items()
+    for sub in ([None] + list(value) if isinstance(value, dict) else [None])
+]
 
 
 class TestLoadConfig:
@@ -218,18 +244,92 @@ class TestAsym:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
 
-    def test_worker_pool_gives_identical_output(self, tmp_path, monkeypatch):
-        cfg_path = write_config(tmp_path, base_config())
-        out_serial, out_pooled = tmp_path / "serial", tmp_path / "pooled"
-        assert main(["asym", "--config", cfg_path, "--out", str(out_serial)]) == EXIT_PASS
-        monkeypatch.setenv("QWALK1D_WORKERS", "4")
-        assert main(["asym", "--config", cfg_path, "--out", str(out_pooled)]) == EXIT_PASS
-        assert (out_serial / "asym.csv").read_bytes() == (out_pooled / "asym.csv").read_bytes()
+
+MALFORMED = [
+    ("simulate", None, ["a", "list"]),
+    ("simulate", "coin", "x"),
+    ("limit", "tol", [1]),
+    ("charfn", "xi_grid", [0.5, "1.0"]),
+    ("asym", "asym.xis", ["1.0"]),
+    ("limit", "tol.safety_factor", "1.1"),
+    ("simulate", "tol.simulate_gap", "1e-10"),
+    ("algebra", "algebra.seed", "7"),
+    ("algebra", "algebra.seed", -1),
+    ("asym", "asym.ks", [0, 1.5]),
+    ("asym", "asym.xis", [math.nan]),
+    ("algebra", "coin.a", [math.nan, 0.0]),
+    ("limit", "phi", [[math.nan, 0.0], [0.0, R]]),
+    ("limit", "tol.kolmogorov_pinned", math.inf),
+    ("charfn", "xi_grid", [-math.inf, 1.0]),
+    # nothing would be checked: exit 0 under any pin
+    ("charfn", "xi_grid", []),
+    ("charfn", "xi_grid", [0.0]),
+    ("asym", "asym.ks", []),
+    ("asym", "asym.xis", []),
+    # the config path is a directory
+    ("simulate", "<directory>", None),
+]
+
+
+@pytest.mark.parametrize("verb, key, value", MALFORMED, ids=lambda v: repr(v)[:24])
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, verb, key, value):
+    if key == "<directory>":
+        cfg_path = str(tmp_path)
+    else:
+        cfg_path = write_config(tmp_path, replaced(base_config(), key, value))
+    assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid config: ")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def all_ints(xs) -> bool:
+    return all(type(x) is int for x in xs)
+
+
+def all_finite_floats(xs) -> bool:
+    return all(type(x) is float and math.isfinite(x) for x in xs)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(FIELDS), value=json_values)
+def test_load_config_gives_typed_finite_values_or_invalid_config(tmp_path, key, value):
+    path = write_config(tmp_path, replaced(base_config(), key, value))
+    try:
+        cfg = load_config(path)
+    except InvalidConfig:
+        return
+    assert isinstance(cfg.coin, CoinMatrix)
+    assert all(type(v) is complex and cmath.isfinite(v) for v in (cfg.coin.a, cfg.coin.b))
+    assert cfg.phi.shape == (2,) and cfg.phi.dtype == complex and np.all(np.isfinite(cfg.phi))
+    assert all_ints(cfg.steps) and all_ints(cfg.n_grid) and all_ints([cfg.max_n])
+    assert all_finite_floats(cfg.xi_grid) and any(cfg.xi_grid)
+    assert all_ints([cfg.algebra["N"], cfg.algebra["seed"]])
+    for phase in (cfg.algebra["alpha"], cfg.algebra["beta"]):
+        assert phase is None or (type(phase) is complex and cmath.isfinite(phase))
+    assert all_ints(cfg.asym["ks"]) and cfg.asym["ks"]
+    assert all_finite_floats(cfg.asym["xis"]) and cfg.asym["xis"]
+    assert all_ints(cfg.asym["n_grid"])
+    assert set(cfg.tol) == set(TOL_DEFAULTS)
+    for name, tol in cfg.tol.items():
+        assert (tol is None and name.endswith("_pinned")) or all_finite_floats([tol])
 
 
 class TestMainErrors:
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_override(self, tmp_path, tol):
+        cfg_path = write_config(tmp_path, base_config())
+        code = main(["algebra", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", tol])
         assert code == EXIT_BAD_CONFIG
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk1d.coin import (
+    check_polar,
     hadamard_coin,
     make_coin,
     phi_from_psi,
@@ -13,7 +14,7 @@ from qwalk1d.coin import (
     psi_from_phi,
     split,
 )
-from qwalk1d.errors import DegenerateCoin, NormViolation
+from qwalk1d.errors import DegenerateCoin, NormViolation, ParamViolation
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -45,6 +46,11 @@ class TestMakeCoin:
     def test_norm_violation(self):
         with pytest.raises(NormViolation):
             make_coin(0.9, 0.5)
+
+    @pytest.mark.parametrize("a", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)])
+    def test_non_finite_rejected(self, a):
+        with pytest.raises(NormViolation):
+            make_coin(a, 0.0)
 
     def test_matrix_is_special_unitary(self):
         rng = np.random.default_rng(11)
@@ -113,6 +119,28 @@ class TestPolar:
         with pytest.raises(DegenerateCoin):
             polar(make_coin(0.0, 1.0))
 
+    @pytest.mark.parametrize("s, t", [(R, R), (0.6, 0.8), (0.6, None), (1e-300, None)])
+    def test_check_polar_accepts(self, s, t):
+        check_polar(s, t)
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            (math.nan, None),
+            (0.0, None),
+            (1.0, None),
+            (math.nan, R),
+            (R, math.nan),
+            (1.0, 0.0),
+            (-0.6, 0.8),
+            (0.6, 0.7),
+            (0.6, math.inf),
+        ],
+    )
+    def test_check_polar_rejects(self, s, t):
+        with pytest.raises(ParamViolation):
+            check_polar(s, t)
+
     def test_round_trip(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
@@ -159,3 +187,8 @@ class TestSpinConversion:
         pp = polar(hadamard_coin())
         with pytest.raises(NormViolation):
             psi_from_phi(np.array([2.0, 0.0]), pp)
+
+    @pytest.mark.parametrize("phi", [[math.nan, 0.0], [1.0, complex(0.0, math.nan)]])
+    def test_non_finite_rejected(self, phi):
+        with pytest.raises(NormViolation):
+            psi_from_phi(np.array(phi), polar(hadamard_coin()))
