@@ -80,24 +80,33 @@ class TransferQuadruple:
         return self.p1.hi
 
 
-def _recurrence(seed1: np.ndarray, count: int, s: float) -> np.ndarray:
+def _recurrence(seed1: np.ndarray, count: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Run p_{k+1} = s*(z + 1/z)*p_k - p_{k-1} from p_0 = 1 up to p_count.
 
-    ``seed1`` is p_1 centered on [-1, 1]; returns p_count centered on
-    [-count, count].  The symmetric update keeps the coefficient array
-    exactly palindromic, bit for bit.
+    ``seed1`` is p_1 centered on [-1, 1]; its first axis is the exponent, and
+    a second axis stacks polynomials that share s, so one pass of numpy calls
+    advances all of them.  Returns (p_{count-1}, p_count), both on the dense
+    grid [-count, count] with the shape of ``seed1`` otherwise; count must be
+    at least 1.  The symmetric update keeps each polynomial exactly
+    palindromic, bit for bit.
     """
-    prev = np.array([1.0])
-    if count == 0:
-        return prev
-    curr = seed1
-    for _ in range(count - 1):
-        nxt = np.zeros(curr.shape[0] + 2)
-        nxt[:-2] += s * curr
-        nxt[2:] += s * curr
-        nxt[2:-2] -= prev
-        prev, curr = curr, nxt
-    return curr
+    # two zero-padded buffers on [-count-1, count+1], exponent-major so that
+    # every update is one contiguous slice; exponent 0 sits at slot c
+    c = count + 1
+    r = seed1[0].size
+    prev = np.zeros((2 * c + 1) * r)
+    curr = np.zeros_like(prev)
+    prev[c * r:(c + 1) * r] = 1.0
+    curr[(c - 1) * r:(c + 2) * r] = seed1.ravel()
+    for k in range(1, count):
+        # p_{k+1} lives on [-(k+1), k+1] and overwrites p_{k-1} in place
+        lo, hi = (c - k - 1) * r, (c + k + 2) * r
+        sc = s * curr[lo - r:hi + r]
+        out = prev[lo:hi]
+        np.subtract(sc[:-2 * r] + sc[2 * r:], out, out=out)
+        prev, curr = curr, prev
+    shape = (2 * c + 1,) + seed1.shape[1:]
+    return prev.reshape(shape)[1:-1], curr.reshape(shape)[1:-1]
 
 
 def cheb_T_laurent(n: int, s: float) -> LaurentPoly:
@@ -105,8 +114,10 @@ def cheb_T_laurent(n: int, s: float) -> LaurentPoly:
     check_polar(s)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if n == 0:
+        return LaurentPoly(lo=0, coeffs=np.array([1.0]))
     # T_1 = s*(z + 1/z)/2
-    return LaurentPoly(lo=-n, coeffs=_recurrence(np.array([s / 2, 0.0, s / 2]), n, s))
+    return LaurentPoly(lo=-n, coeffs=_recurrence(np.array([s / 2, 0.0, s / 2]), n, s)[1])
 
 
 def cheb_U_laurent(m: int, s: float) -> LaurentPoly:
@@ -117,10 +128,10 @@ def cheb_U_laurent(m: int, s: float) -> LaurentPoly:
     check_polar(s)
     if m < -1:
         raise ValueError(f"m must be >= -1, got {m}")
-    if m == -1:
-        return LaurentPoly(lo=0, coeffs=np.array([0.0]))
+    if m <= 0:
+        return LaurentPoly(lo=0, coeffs=np.array([float(m + 1)]))
     # U_1 = s*(z + 1/z)
-    return LaurentPoly(lo=-m, coeffs=_recurrence(np.array([s, 0.0, s]), m, s))
+    return LaurentPoly(lo=-m, coeffs=_recurrence(np.array([s, 0.0, s]), m, s)[1])
 
 
 def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
@@ -140,12 +151,13 @@ def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
     check_polar(s, t)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    tn = cheb_T_laurent(n, s).coeffs
-    um_raw = cheb_U_laurent(n - 1, s).coeffs
-    # everything on the dense grid [-n, n]
-    um = np.zeros(2 * n + 1)
-    k = (2 * n + 1 - um_raw.shape[0]) // 2
-    um[k:2 * n + 1 - k] = um_raw
+    if n == 0:
+        tn, um = np.array([1.0]), np.array([0.0])
+    else:
+        # T_n and U_{n-1} in one pass: the rows advance T_1 and U_1 together,
+        # and U_{n-1} is the U row one step behind the last
+        prev, curr = _recurrence(np.array([[s / 2, s], [0.0, 0.0], [s / 2, s]]), n, s)
+        tn, um = curr[:, 0], prev[:, 1]
     z_um = np.zeros_like(um)
     z_um[1:] = um[:-1]          # z * U
     zinv_um = np.zeros_like(um)

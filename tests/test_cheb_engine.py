@@ -166,6 +166,25 @@ class TestTransferPolys:
                 assert abs(mass_p - 1.0) < 1e-12
                 assert abs(mass_q - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("s", [0.3, R, 0.9])
+    def test_stacked_pass_matches_single_polynomials_bit_for_bit(self, s):
+        # transfer_polys advances T and U in one pass; the coefficients must
+        # equal the one-polynomial recurrences exactly, not just to rounding
+        t = math.sqrt(1.0 - s * s)
+        for n in list(range(8)) + [63, 200]:
+            quad = transfer_polys(n, s, t)
+            tn = cheb_T_laurent(n, s).coeffs
+            um = np.zeros(2 * n + 1)
+            if n > 0:
+                um[1:-1] = cheb_U_laurent(n - 1, s).coeffs
+            z_um = np.concatenate([[0.0], um[:-1]])
+            zinv_um = np.concatenate([um[1:], [0.0]])
+            odd = (s / 2) * (z_um - zinv_um)
+            assert np.array_equal(quad.p1.coeffs, tn + odd)
+            assert np.array_equal(quad.q2.coeffs, tn - odd)
+            assert np.array_equal(quad.p2.coeffs, t * z_um)
+            assert np.array_equal(quad.q1.coeffs, -t * zinv_um)
+
     def test_parity_zeros_exact(self):
         quad = transfer_polys(9, 0.6, 0.8)
         for poly in (quad.p1, quad.p2, quad.q1, quad.q2):
