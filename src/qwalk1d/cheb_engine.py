@@ -6,6 +6,9 @@ second-kind Chebyshev polynomials evaluated at s*(z + 1/z)/2.  Coefficients
 are computed by the three-term recurrence directly in coefficient space,
 which is O(n^2) total work and numerically stable; the textbook binomial
 sums blow up for large n and live only in the test suite as a cross-check.
+Sums over the coefficients that are circle means (the characteristic-function
+components) skip the coefficients: they sample T_n and U_{n-1} on the unit
+circle in trigonometric form, O(n) work per sum.
 
 Exponent convention: ``c_x`` multiplies z**x with x increasing to the right,
 matching the lattice-site indexing of :mod:`qwalk1d.direct_walk`.
@@ -242,6 +245,16 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
     return coef
 
 
+def _cheb_circle(n: int, s: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_n and U_{n-1} at s*cos(theta), i.e. at s*(z + 1/z)/2 on z = e^{i theta}.
+
+    Trigonometric form: with phi = acos(s cos theta), T_n = cos(n phi) and
+    U_{n-1} = sin(n phi) / sin(phi); sin(phi) >= t > 0 because s < 1.
+    """
+    ac = np.arccos(s * np.cos(theta))
+    return np.cos(n * ac), np.sin(n * ac) / np.sin(ac)
+
+
 def char_fn_components(
     psi: np.ndarray, n: int, s: float, t: float, xi: float
 ) -> tuple[complex, complex, complex, complex]:
@@ -251,6 +264,18 @@ def char_fn_components(
     cross-term sums weighted by exp(i*xi*x) for the two columns, and
     E = |psi_1|^2 P + |psi_2|^2 Q + 2 Re(psi_1 conj(psi_2)) R.
 
+    Each sum pairs a column polynomial shifted by xi with another, so it is
+    the circle mean of p(e^{i(theta+xi)}) conj(q(e^{i theta})) (coefficients
+    are real); the trapezoid rule on 2n + 16 nodes exceeds the product
+    bandwidth 2n and is exact to roundoff.  On the circle, with V = s sin(theta) U,
+
+        p1 = T + iV,   q2 = T - iV,   p2 = t z U,   q1 = -t U / z,
+
+    which gives P and Q.  R's summand is t[T_x d_x - (s/2)(U_{x-1}^2 - U_{x+1}^2)]
+    with d_x = U_{x-1} - U_{x+1}, the coefficients of (z - 1/z)U = (2i/s)V,
+    so R = -i t [(2/s) mean(V(theta) T(theta+xi)) + s sin(xi) mean(U U)].
+    All three are real dot products of T, U and V at theta and theta + xi.
+
     At xi = 0 the values are exactly (1, 1, 0, 1): the column masses are 1 by
     unitarity and the cross sum is the inner product of two orthogonal
     columns, so the normalization shortcut is the exact value.
@@ -259,13 +284,23 @@ def char_fn_components(
     _check_unit(psi)
     if xi == 0.0:
         return (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
-    quad = transfer_polys(n, s, t)
-    phases = np.exp(1j * xi * np.arange(-n, n + 1))
-    p1, p2 = quad.p1.coeffs, quad.p2.coeffs
-    q1, q2 = quad.q1.coeffs, quad.q2.coeffs
-    comp_p = complex(np.sum((p1 * p1 + p2 * p2) * phases))
-    comp_q = complex(np.sum((q1 * q1 + q2 * q2) * phases))
-    comp_r = complex(np.sum((p1 * q1 + p2 * q2) * phases))
+    check_polar(s, t)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    m = 2 * n + 16
+    theta = 2.0 * np.pi * np.arange(m) / m
+    rows = []
+    for th in (theta, theta + xi):
+        tn, um = _cheb_circle(n, s, th)
+        rows.append(np.array([tn, um, s * np.sin(th) * um]))
+    # g[i, j] = mean(row i at theta * row j at theta + xi); rows T, U, V
+    g = rows[0] @ rows[1].T / m
+    w = complex(np.cos(xi), np.sin(xi))
+    even = g[0, 0] + g[2, 2]
+    odd = 1j * (g[0, 2] - g[2, 0])
+    comp_p = complex(even + odd + t * t * w * g[1, 1])
+    comp_q = complex(even - odd + t * t * w.conjugate() * g[1, 1])
+    comp_r = complex(-1j * t * (2.0 / s * g[2, 0] + s * np.sin(xi) * g[1, 1]))
     weight = 2.0 * (psi[0] * psi[1].conjugate()).real
     e = abs(psi[0]) ** 2 * comp_p + abs(psi[1]) ** 2 * comp_q + weight * comp_r
     return comp_p, comp_q, comp_r, e

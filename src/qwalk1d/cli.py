@@ -36,6 +36,7 @@ from .errors import (
     InvalidConfig,
     NormViolation,
     ParamViolation,
+    PathMismatch,
     QuadratureFailure,
     QWalkError,
     RelationFailure,
@@ -198,9 +199,9 @@ def load_config(path: str | None) -> ExperimentConfig:
     )
 
 
-def _require_within_max(cfg: ExperimentConfig, ns: list[int]) -> None:
+def _require_within_max(cfg: ExperimentConfig, ns: list[int], what: str = "n") -> None:
     if max(ns) > cfg.max_n:
-        raise InvalidConfig(f"requested n = {max(ns)} exceeds max_n = {cfg.max_n}")
+        raise InvalidConfig(f"requested {what} = {max(ns)} exceeds max_n = {cfg.max_n}")
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -245,23 +246,20 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, override: float | None = 
     """Direct and closed-form distributions per step count, plus their gap."""
     gap_tol = cfg.tol["simulate_gap"] if override is None else override
     _require_within_max(cfg, cfg.steps)
-    try:
-        pol = polar(cfg.coin)
-        psi = psi_from_phi(cfg.phi, pol)
-    except DegenerateCoin as exc:
-        print(f"warning: closed-form path skipped: {exc}", file=sys.stderr)
-        pol = psi = None
+    pol = _polar(cfg, "simulate")
+    psi = psi_from_phi(cfg.phi, pol)
     rows = []
     failed_n = None
     for n, st in direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.steps, cfg.max_n):
         d = direct_walk.distribution(st)
         atomic_write(out_dir / f"direct_n{n}.csv", direct_walk.distribution_to_csv(d))
-        if pol is None:
-            continue
         q = cheb_engine.qn_distribution(psi, n, pol.s, pol.t)
         atomic_write(out_dir / f"cheb_n{n}.csv", direct_walk.distribution_to_csv(q))
         if q.offset != d.offset or q.probs.shape != d.probs.shape:
-            raise AssertionError("direct and closed-form windows disagree")
+            raise PathMismatch(
+                f"n = {n}: direct window starts at {d.offset} with {d.probs.size} sites, "
+                f"closed form at {q.offset} with {q.probs.size}"
+            )
         gap = float(np.max(np.abs(d.probs - q.probs)))
         rows.append((n, gap))
         ok = gap < gap_tol
@@ -358,8 +356,11 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = N
 def cmd_asym(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Finite-n contour integrals vs their limits over the n grid."""
     threshold = _threshold(cfg, "asym_pinned", override)
-    s = _polar(cfg, "asym").s
     ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
+    # the circle rules take 4n + 4|k| + 64 nodes
+    _require_within_max(cfg, n_grid)
+    _require_within_max(cfg, [abs(k) for k in ks], "|k|")
+    s = _polar(cfg, "asym").s
     try:
         limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
     except QuadratureFailure as exc:
@@ -427,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except QWalkError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except OSError as exc:
+        print(f"invalid config: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     return code
 
 

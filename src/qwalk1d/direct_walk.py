@@ -3,8 +3,11 @@
 The state is a finite window of 2-component complex amplitudes.  One step
 sends the amplitude at site x to P*amps[x-1] + Q*amps[x+1], so the window
 grows by exactly one site per side per step and no truncation ever happens:
-evolution is exact up to floating-point roundoff.  The norm is never
-re-imposed; its drift from 1 is a diagnostic, not something to hide.
+evolution is exact up to floating-point roundoff.  Started from one site, a
+site whose parity differs from the step count's holds an exact zero, so
+evolution stores and advances only the k + 1 sites of step k's parity.  The
+norm is never re-imposed; its drift from 1 is a diagnostic, not something to
+hide.
 """
 
 from __future__ import annotations
@@ -74,18 +77,80 @@ def initial_state(phi: np.ndarray) -> WalkState:
     return WalkState(offset=0, amps=phi.reshape(1, 2).copy())
 
 
+def _coefficients(c: CoinMatrix) -> tuple[np.ndarray, ...]:
+    """P's first and Q's second column as (4, 1) real multipliers of Re and Im.
+
+    For a column w, w * u has real and imaginary parts (Re w, Im w) * Re u +
+    (-Im w, Re w) * Im u; the four rows stack those pairs for w's two entries.
+    """
+    p, q = split(c)
+    out = []
+    for w in (p[:, 0].copy(), q[:, 1].copy()):
+        out += [w.view(float)[:, None], (1j * w).view(float)[:, None]]
+    return tuple(out)
+
+
+def _advance(cur: np.ndarray, new: np.ndarray, tmp: np.ndarray, coef: tuple, m: int) -> None:
+    """One step of one parity class: m sites in ``cur`` become m + 1 in ``new``.
+
+    Rows are Re/Im of spin component 1, then of component 2; consecutive
+    columns are sites two apart, so site j's right-mover lands in column j + 1
+    and its left-mover in column j.  ``new`` needs m + 1 columns and ``tmp``
+    shape (2, 4, m).  Every product and sum is its own real ufunc call, so the
+    result rounds exactly as scalar complex arithmetic does, where numpy's
+    complex multiply may fuse a multiply-add on some CPUs.
+    """
+    x, y = tmp[0, :, :m], tmp[1, :, :m]
+    np.multiply(coef[0], cur[0, :m], out=x)
+    np.multiply(coef[1], cur[1, :m], out=y)
+    np.add(x, y, out=new[:, 1:m + 1])
+    np.multiply(coef[2], cur[2, :m], out=x)
+    np.multiply(coef[3], cur[3, :m], out=y)
+    np.add(x, y, out=x)
+    new[:, 0] = 0.0
+    np.add(new[:, :m], x, out=new[:, :m])
+
+
 def step(st: WalkState, c: CoinMatrix) -> WalkState:
     """Apply the walk operator once; the window grows one site per side."""
-    p, q = split(c)
-    return _step_matrices(st, p, q)
-
-
-def _step_matrices(st: WalkState, p: np.ndarray, q: np.ndarray) -> WalkState:
-    amps = st.amps
+    coef = _coefficients(c)
+    amps = np.ascontiguousarray(st.amps, dtype=complex)
     out = np.zeros((amps.shape[0] + 2, 2), dtype=complex)
-    out[2:] += amps @ p.T     # right-moving part
-    out[:-2] += amps @ q.T    # left-moving part
+    # each parity class of sites moves to the other class, independently
+    for par in (0, 1):
+        cur = amps[par::2].view(float).T
+        m = cur.shape[1]
+        _advance(cur, out[par::2].view(float).T, np.empty((2, 4, m)), coef, m)
     return WalkState(offset=st.offset - 1, amps=out)
+
+
+def _snapshots(
+    phi: np.ndarray, c: CoinMatrix, ns: Iterable[int], max_steps: int
+) -> Iterator[tuple[int, WalkState]]:
+    """Evolve from site 0 keeping only the k + 1 sites of parity k at step k."""
+    targets = list(ns)
+    if any(n < 0 for n in targets):
+        raise ValueError("step counts must be non-negative")
+    if targets != sorted(targets):
+        raise ValueError("step counts must be sorted ascending")
+    if targets and targets[-1] > max_steps:
+        raise ResourceLimit(f"n = {targets[-1]} exceeds the configured maximum {max_steps}")
+    st = initial_state(phi)
+    coef = _coefficients(c)
+    top = targets[-1] if targets else 0
+    cur = np.zeros((4, top + 1))
+    new = np.zeros_like(cur)
+    tmp = np.empty((2, 4, top))
+    cur[:, 0] = st.amps[0].view(float)
+    k = 0
+    for n in targets:
+        while k < n:
+            _advance(cur, new, tmp, coef, k + 1)
+            cur, new = new, cur
+            k += 1
+        amps = np.zeros((2 * k + 1, 2), dtype=complex)
+        amps.view(float)[0::2] = cur[:, :k + 1].T
+        yield n, WalkState(offset=-k, amps=amps)
 
 
 def evolve(phi: np.ndarray, c: CoinMatrix, n: int, max_steps: int = DEFAULT_MAX_STEPS) -> WalkState:
@@ -98,12 +163,7 @@ def evolve(phi: np.ndarray, c: CoinMatrix, n: int, max_steps: int = DEFAULT_MAX_
     """
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
-    if n > max_steps:
-        raise ResourceLimit(f"n = {n} exceeds the configured maximum {max_steps}")
-    st = initial_state(phi)
-    p, q = split(c)
-    for _ in range(n):
-        st = _step_matrices(st, p, q)
+    (_, st), = _snapshots(phi, c, [n], max_steps)
     return st
 
 
@@ -115,21 +175,7 @@ def evolve_snapshots(
     ``ns`` must be sorted ascending; the largest entry is bounded by
     ``max_steps`` exactly as in :func:`evolve`.
     """
-    targets = list(ns)
-    if any(n < 0 for n in targets):
-        raise ValueError("step counts must be non-negative")
-    if targets != sorted(targets):
-        raise ValueError("step counts must be sorted ascending")
-    if targets and targets[-1] > max_steps:
-        raise ResourceLimit(f"n = {targets[-1]} exceeds the configured maximum {max_steps}")
-    st = initial_state(phi)
-    p, q = split(c)
-    k = 0
-    for n in targets:
-        while k < n:
-            st = _step_matrices(st, p, q)
-            k += 1
-        yield n, st
+    return _snapshots(phi, c, ns, max_steps)
 
 
 def distribution(st: WalkState) -> Distribution:

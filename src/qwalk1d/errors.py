@@ -29,6 +29,10 @@ class QuadratureFailure(QWalkError, RuntimeError):
     """A quadrature did not reach its accuracy target within the refinement cap."""
 
 
+class PathMismatch(QWalkError, RuntimeError):
+    """The direct and closed-form paths produced different lattice windows."""
+
+
 class RelationFailure(QWalkError, AssertionError):
     """One or more operator identities exceeded the residual tolerance."""
 

@@ -308,7 +308,32 @@ class TestCrossSeries:
             cross_series(quad.p1, quad.p1, 1.0, nodes=3)
 
 
+def coefficient_sums(quad, psi, xi):
+    """(P, Q, R, E) summed over the transfer polynomials' coefficients."""
+    n = quad.n
+    phases = np.exp(1j * xi * np.arange(-n, n + 1))
+    p1, p2 = quad.p1.coeffs, quad.p2.coeffs
+    q1, q2 = quad.q1.coeffs, quad.q2.coeffs
+    comp_p = np.sum((p1 * p1 + p2 * p2) * phases)
+    comp_q = np.sum((q1 * q1 + q2 * q2) * phases)
+    comp_r = np.sum((p1 * q1 + p2 * q2) * phases)
+    weight = 2.0 * (psi[0] * psi[1].conjugate()).real
+    return comp_p, comp_q, comp_r, abs(psi[0]) ** 2 * comp_p + abs(psi[1]) ** 2 * comp_q + weight * comp_r
+
+
 class TestCharFnComponents:
+    @pytest.mark.parametrize("s", [0.3, R, 0.95])
+    def test_circle_sums_match_coefficient_sums(self, s):
+        t = math.sqrt(1 - s * s)
+        psi = np.array([0.6, 0.48 + 0.64j])
+        for n in (1, 2, 5, 60, 2000, 6000):
+            quad = transfer_polys(n, s, t)
+            for xi in (0.5 / n, -0.5 / n, 2 / n, math.pi):
+                got = char_fn_components(psi, n, s, t, xi)
+                ref = coefficient_sums(quad, psi, xi)
+                assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-11
+            assert char_fn_components(psi, n, s, t, 0.0) == (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
+
     def test_normalization_shortcut(self):
         p, q, r, e = char_fn_components(np.array([R, 1j * R]), 7, 0.6, 0.8, 0.0)
         assert (p, q, r, e) == (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)

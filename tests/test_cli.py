@@ -18,7 +18,9 @@ from qwalk1d.cli import (
     load_config,
     main,
 )
+from qwalk1d import cheb_engine
 from qwalk1d.coin import CoinMatrix
+from qwalk1d.direct_walk import Distribution
 from qwalk1d.errors import InvalidConfig
 
 R = math.sqrt(0.5)
@@ -131,15 +133,26 @@ class TestSimulate:
         assert x == "0"
         assert float(prob) == pytest.approx(1.0, abs=1e-12)
 
-    def test_degenerate_coin_direct_only(self, tmp_path, capsys):
+    def test_degenerate_coin_is_invalid_config(self, tmp_path, capsys):
+        # no closed form to compare with, so nothing would be checked
         cfg = base_config(coin={"a": [1.0, 0.0], "b": [0.0, 0.0]}, steps=[2])
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_PASS
-        captured = capsys.readouterr()
-        assert "skipped" in captured.err
-        assert (out / "direct_n2.csv").exists()
-        assert not (out / "cheb_n2.csv").exists()
+        code = main(["simulate", "--config", cfg_path, "--out", str(out), "--tol", "1e-30"])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid config: ")
+        assert not out.exists()
+
+    def test_window_mismatch_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        def shifted(psi, n, s, t):
+            return Distribution(offset=-n - 1, probs=np.zeros(2 * n + 3))
+
+        monkeypatch.setattr(cheb_engine, "qn_distribution", shifted)
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("check failed: ")
 
     def test_deterministic_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -266,6 +279,9 @@ MALFORMED = [
     ("charfn", "xi_grid", [0.0]),
     ("asym", "asym.ks", []),
     ("asym", "asym.xis", []),
+    # beyond max_n: the circle rules would allocate 4n + 4|k| nodes
+    ("asym", "asym.n_grid", [50, 10**12]),
+    ("asym", "asym.ks", [0, -10**12]),
     # the config path is a directory
     ("simulate", "<directory>", None),
 ]
@@ -325,6 +341,16 @@ class TestMainErrors:
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("verb", ["algebra", "simulate"])
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, verb):
+        cfg_path = write_config(tmp_path, base_config())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([verb, "--config", cfg_path, "--out", str(blocker / "sub")])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid config: cannot write output: ")
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol_override(self, tmp_path, tol):

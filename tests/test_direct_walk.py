@@ -131,6 +131,30 @@ class TestEvolve:
             ref = evolve(phi, c, n)
             np.testing.assert_array_equal(st.amps, ref.amps)
 
+    def test_snapshots_match_repeated_step_and_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        ns = [0, 0, 1, 2, 2, 37, 300]
+        for _ in range(3):
+            g = rng.normal(size=4)
+            a, b = complex(g[0], g[1]), complex(g[2], g[3])
+            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            a, b = a / nrm, b / nrm
+            c = make_coin(a, b)
+            v = rng.normal(size=4)
+            phi = np.array([complex(v[0], v[1]), complex(v[2], v[3])])
+            phi /= np.linalg.norm(phi)
+            stepped = [initial_state(phi)]
+            for _ in range(ns[-1]):
+                stepped.append(step(stepped[-1], c))
+            snaps = list(evolve_snapshots(phi, c, ns))
+            assert [n for n, _ in snaps] == ns
+            for n, st in snaps:
+                assert st.offset == stepped[n].offset == -n
+                np.testing.assert_array_equal(st.amps, stepped[n].amps)
+                ref = oracle_evolve(phi, a, b, n)
+                expected = np.array([ref.get(int(x), (0j, 0j)) for x in st.sites])
+                np.testing.assert_array_equal(st.amps, expected)
+
     def test_snapshots_validate_order(self):
         with pytest.raises(ValueError):
             list(evolve_snapshots(np.array([1.0, 0.0]), hadamard_coin(), [5, 3]))

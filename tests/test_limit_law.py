@@ -145,6 +145,18 @@ class TestCdf:
         for y, v in zip(ys, grid_vals):
             assert v == pytest.approx(cdf(d, float(y)), abs=1e-10)
 
+    @pytest.mark.parametrize("s", [0.3, R, 0.95])
+    def test_grid_closed_form_matches_quadrature(self, s):
+        t = math.sqrt(1 - s * s)
+        inside = np.linspace(-s, s, 23)[1:-1]
+        ys = np.concatenate([[-2.0, -s], inside, [s, 1.5]])
+        for lam in (-1 / s, -0.4, 0.0, 0.7, 1 / s):
+            d = LimitDensity(s, t, lam)
+            vals = cdf_grid(d, ys)
+            assert list(vals[:2]) == [0.0, 0.0] and list(vals[-2:]) == [1.0, 1.0]
+            for y, v in zip(ys, vals):
+                assert abs(v - cdf(d, float(y))) < 1e-13
+
     def test_grid_rejects_descending(self):
         d = LimitDensity(0.6, 0.8, 0.0)
         with pytest.raises(ValueError):
@@ -267,7 +279,41 @@ class TestAsymLimits:
             assert sums[1] < sums[0]
 
 
+def panel_cdf_grid(d, ys):
+    """CDF on an ascending grid by 20-point Gauss-Legendre panels, segment by segment.
+
+    Each segment between consecutive grid points in theta = asin(y/s) gets
+    panels no wider than 0.05 rad; the running sum of the segments is the CDF.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    s, t, lam = d.s, d.t, d.lam
+    edges = np.concatenate([[-math.pi / 2], np.arcsin(np.clip(ys / s, -1.0, 1.0))])
+    increments = np.zeros(ys.size)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if hi == lo:
+            continue
+        cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 0.05)) + 1)
+        half = (cuts[1:] - cuts[:-1]) / 2
+        theta = ((cuts[1:] + cuts[:-1]) / 2)[:, None] + half[:, None] * nodes
+        sn = np.sin(theta)
+        g = t * (1.0 + lam * s * sn) / (np.pi * (1.0 - s**2 * sn**2))
+        increments[i] = np.sum(half[:, None] * weights * g)
+    return np.cumsum(increments)
+
+
 class TestKolmogorov:
+    @pytest.mark.parametrize("phi", [np.array([R, 1j * R]), np.array([1.0, 0.0])])
+    def test_matches_panel_quadrature_at_n_2000(self, phi):
+        coin = hadamard_coin()
+        pp = polar(coin)
+        d = LimitDensity(pp.s, pp.t, lambda_phi(phi, coin))
+        n = 2000
+        dist = distribution(evolve(phi, coin, n))
+        f_lim = panel_cdf_grid(d, dist.sites / n)
+        cum = np.cumsum(dist.probs)
+        ref = np.max(np.maximum(np.abs(cum - f_lim), np.abs(cum - dist.probs - f_lim)))
+        assert abs(kolmogorov_distance(dist, d, n) - ref) < 1e-14
+
     def test_decreases_with_n(self):
         coin = hadamard_coin()
         pp = polar(coin)
