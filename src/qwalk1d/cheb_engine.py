@@ -16,7 +16,6 @@ matching the lattice-site indexing of :mod:`qwalk1d.direct_walk`.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,6 @@ class LaurentPoly:
     @property
     def hi(self) -> int:
         return self.lo + self.coeffs.shape[0] - 1
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1)
 
     def c(self, x: int) -> float:
         """Coefficient of z**x (zero outside the stored range)."""
@@ -282,11 +277,11 @@ def char_fn_components(
     """
     psi = np.asarray(psi, dtype=complex)
     _check_unit(psi)
-    if xi == 0.0:
-        return (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
     check_polar(s, t)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if xi == 0.0:
+        return (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
     m = 2 * n + 16
     theta = 2.0 * np.pi * np.arange(m) / m
     rows = []
@@ -304,14 +299,3 @@ def char_fn_components(
     weight = 2.0 * (psi[0] * psi[1].conjugate()).real
     e = abs(psi[0]) ** 2 * comp_p + abs(psi[1]) ** 2 * comp_q + weight * comp_r
     return comp_p, comp_q, comp_r, e
-
-
-def quadruple_to_csv(tq: TransferQuadruple) -> str:
-    """CSV with header ``x,p1,p2,q1,q2`` over the dense exponent grid."""
-    buf = io.StringIO()
-    buf.write("x,p1,p2,q1,q2\n")
-    for x, a, b, cc, d in zip(
-        tq.p1.exponents, tq.p1.coeffs, tq.p2.coeffs, tq.q1.coeffs, tq.q2.coeffs
-    ):
-        buf.write(f"{x},{a:.17g},{b:.17g},{cc:.17g},{d:.17g}\n")
-    return buf.getvalue()

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cheb_engine, direct_walk, limit_law
-from .algebra_check import build_rep, verify_relations
+from .algebra_check import RelationReport, build_rep, verify_relations
 from .coin import CoinMatrix, PolarParams, _check_unit, check_polar, make_coin, polar, psi_from_phi
 from .errors import (
     DegenerateCoin,
@@ -46,6 +46,10 @@ from .errors import (
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
+
+# build_rep and verify_relations hold about 19 dense 2N x 2N complex matrices
+# at once: peak RSS is about 31 MB + 1.2 KB * N^2, so about 345 MB at this bound.
+MAX_ALGEBRA_N = 512
 
 # Verb name -> help text; ``main`` runs the module's ``cmd_<verb>``.
 VERBS = {
@@ -99,10 +103,12 @@ def _number(value, name: str) -> float:
     raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
 
 
-def _integer(value, name: str, low: int | None = None) -> int:
-    if isinstance(value, int) and not isinstance(value, bool) and (low is None or value >= low):
-        return value
+def _integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or value >= low) and (high is None or value <= high):
+            return value
     bound = "" if low is None else f" >= {low}"
+    bound += "" if high is None else f" and <= {high}"
     raise InvalidConfig(f"{name} must be an integer{bound}, got {value!r}")
 
 
@@ -184,7 +190,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         n_grid=_grid(raw.get("n_grid", [125, 250, 500, 1000, 2000]), "n_grid", 1),
         xi_grid=xi_grid,
         algebra={
-            "N": _integer(alg.get("N", 16), "algebra.N", 3),
+            "N": _integer(alg.get("N", 16), "algebra.N", 3, MAX_ALGEBRA_N),
             "alpha": None if alg.get("alpha") is None else _complex(alg["alpha"], "algebra.alpha"),
             "beta": None if alg.get("beta") is None else _complex(alg["beta"], "algebra.beta"),
             "seed": _integer(alg.get("seed", 0), "algebra.seed", 0),
@@ -219,10 +225,8 @@ def atomic_write(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Write rows atomically: ints as they are, floats with 17 significant digits."""
-    lines = [header]
-    lines.extend(",".join(str(v) if isinstance(v, int) else f"{v:.17g}" for v in row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Write the rows as CSV, atomically."""
+    atomic_write(path, direct_walk._csv_text(header, zip(*rows)))
 
 
 def _polar(cfg: ExperimentConfig, what: str) -> PolarParams:
@@ -342,7 +346,7 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = N
     try:
         report = verify_relations(rep, tol=resid_tol, s=s_val, t=t_val)
     except RelationFailure as exc:
-        atomic_write(out_dir / "relation_report.json", json.dumps(exc.report, indent=2))
+        atomic_write(out_dir / "relation_report.json", RelationReport(exc.report).to_json())
         print("algebra: FAILED identities: " + ", ".join(exc.failing), file=sys.stderr)
         return EXIT_CHECK_FAILED
     atomic_write(out_dir / "relation_report.json", report.to_json())

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateCoin, NormViolation, ParamViolation
 
 INPUT_NORM_TOL = 1e-10   # inputs may come from text parsing
-INTERNAL_TOL = 1e-12     # values we construct ourselves
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,9 @@ def phi_from_psi(psi: np.ndarray, p: PolarParams) -> np.ndarray:
     return np.array([psi[0], -(p.alpha * p.beta).conjugate() * psi[1]], dtype=complex)
 
 
-def _check_unit(v: np.ndarray, tol: float = INPUT_NORM_TOL) -> None:
+def _check_unit(v: np.ndarray) -> None:
     norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= tol:
+    if not abs(norm - 1.0) <= INPUT_NORM_TOL:
         raise NormViolation(f"expected a unit vector, got norm {norm!r}")
 
 

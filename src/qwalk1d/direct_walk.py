@@ -12,7 +12,6 @@ hide.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -189,19 +188,20 @@ def char_fn(d: Distribution, xi: float) -> complex:
     return complex(np.sum(d.probs * np.exp(1j * xi * d.sites)))
 
 
+def _csv_text(header: str, columns) -> str:
+    """CSV text: the header line, then one line per row of equal-length columns.
+
+    An integer column is written as is; any other is written with 17
+    significant digits, so every double round-trips.
+    """
+    cells = []
+    for col in columns:
+        values = np.asarray(col)
+        fmt = str if values.dtype.kind in "iu" else "{:.17g}".format
+        cells.append(map(fmt, values.tolist()))
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 def distribution_to_csv(d: Distribution) -> str:
     """CSV with header ``x,prob`` covering the whole window."""
-    buf = io.StringIO()
-    buf.write("x,prob\n")
-    for x, pr in zip(d.sites, d.probs):
-        buf.write(f"{x},{pr:.17g}\n")
-    return buf.getvalue()
-
-
-def state_to_csv(st: WalkState) -> str:
-    """CSV with header ``x,re1,im1,re2,im2`` covering the whole window."""
-    buf = io.StringIO()
-    buf.write("x,re1,im1,re2,im2\n")
-    for x, (u1, u2) in zip(st.sites, st.amps):
-        buf.write(f"{x},{u1.real:.17g},{u1.imag:.17g},{u2.real:.17g},{u2.imag:.17g}\n")
-    return buf.getvalue()
+    return _csv_text("x,prob", [d.sites, d.probs])

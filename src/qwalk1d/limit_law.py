@@ -14,7 +14,6 @@ the convergence experiments.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .cheb_engine import _cheb_circle
 from .coin import CoinMatrix, _check_unit, check_polar
-from .direct_walk import Distribution
+from .direct_walk import Distribution, _csv_text
 from .errors import DegenerateCoin, ParamViolation, QuadratureFailure
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -268,10 +267,4 @@ def kolmogorov_distance(dist: Distribution, d: LimitDensity, n: int) -> float:
 def density_cdf_csv(d: LimitDensity, ys: np.ndarray) -> str:
     """CSV with header ``y,density,cdf`` over an ascending grid."""
     ys = np.asarray(ys, dtype=float)
-    cdfs = cdf_grid(d, ys)
-    dens = density(d, ys)
-    buf = io.StringIO()
-    buf.write("y,density,cdf\n")
-    for y, de, cd in zip(ys, np.atleast_1d(dens), cdfs):
-        buf.write(f"{y:.17g},{de:.17g},{cd:.17g}\n")
-    return buf.getvalue()
+    return _csv_text("y,density,cdf", [ys, density(d, ys), cdf_grid(d, ys)])

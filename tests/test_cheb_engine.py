@@ -19,7 +19,6 @@ from qwalk1d.cheb_engine import (
     cross_series,
     cross_series_quadrature,
     qn_distribution,
-    quadruple_to_csv,
     transfer_polys,
 )
 from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
@@ -198,12 +197,6 @@ class TestTransferPolys:
             quad = transfer_polys(n, 0.6, 0.8)
             assert np.array_equal(quad.q1.coeffs, -quad.p2.coeffs[::-1])
 
-    def test_csv(self):
-        quad = transfer_polys(2, R, R)
-        lines = quadruple_to_csv(quad).strip().splitlines()
-        assert lines[0] == "x,p1,p2,q1,q2"
-        assert len(lines) == 6
-
 
 class TestQnDistribution:
     def test_right_basis_one_step(self):
@@ -337,6 +330,22 @@ class TestCharFnComponents:
     def test_normalization_shortcut(self):
         p, q, r, e = char_fn_components(np.array([R, 1j * R]), 7, 0.6, 0.8, 0.0)
         assert (p, q, r, e) == (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.4])
+    @pytest.mark.parametrize(
+        "psi, n, s, t, error",
+        [
+            ([1.0, 0.0], 3, 1.5, 0.2, ParamViolation),
+            ([1.0, 0.0], 3, math.nan, 0.8, ParamViolation),
+            ([1.0, 0.0], 3, 0.6, 0.9, ParamViolation),
+            ([1.0, 0.0], -3, 0.6, 0.8, ValueError),
+            ([1.0, 1.0], 3, 0.6, 0.8, NormViolation),
+        ],
+    )
+    def test_invalid_parameters(self, psi, n, s, t, error, xi):
+        # xi = 0 takes the exact shortcut, but only after the same validation
+        with pytest.raises(error):
+            char_fn_components(np.array(psi), n, s, t, xi)
 
     def test_first_basis_keeps_first_bracket(self):
         p, q, r, e = char_fn_components(np.array([1.0, 0.0]), 5, 0.6, 0.8, 0.9)

@@ -13,6 +13,7 @@ from qwalk1d.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
     EXIT_PASS,
+    MAX_ALGEBRA_N,
     TOL_DEFAULTS,
     atomic_write,
     load_config,
@@ -102,6 +103,10 @@ class TestLoadConfig:
         path = write_config(tmp_path, base_config(steps=[3, 1]))
         with pytest.raises(InvalidConfig):
             load_config(path)
+
+    def test_algebra_n_at_its_bound_loads(self, tmp_path):
+        cfg = base_config(algebra={"N": MAX_ALGEBRA_N, "alpha": None, "beta": None, "seed": 0})
+        assert load_config(write_config(tmp_path, cfg)).algebra["N"] == MAX_ALGEBRA_N
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -235,6 +240,21 @@ class TestAlgebra:
         assert code == EXIT_CHECK_FAILED
         assert (out / "relation_report.json").exists()
 
+    def test_failed_report_has_the_passing_layout(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
+        texts = {}
+        for tol in (None, "1e-30"):
+            out = tmp_path / str(tol)
+            args = ["algebra", "--config", cfg_path, "--out", str(out)]
+            code = main(args + (["--tol", tol] if tol else []))
+            assert code == (EXIT_CHECK_FAILED if tol else EXIT_PASS)
+            texts[tol] = (out / "relation_report.json").read_text()
+        passed, failed = json.loads(texts[None]), json.loads(texts["1e-30"])
+        assert len(failed) == 25
+        assert list(failed) == list(passed)
+        for text, report in ((texts[None], passed), (texts["1e-30"], failed)):
+            assert text == json.dumps(report, indent=2)
+
     def test_explicit_phases(self, tmp_path):
         cfg = base_config(algebra={"N": 4, "alpha": [0.0, 1.0], "beta": [1.0, 0.0], "seed": 0})
         cfg_path = write_config(tmp_path, cfg)
@@ -282,6 +302,9 @@ MALFORMED = [
     # beyond max_n: the circle rules would allocate 4n + 4|k| nodes
     ("asym", "asym.n_grid", [50, 10**12]),
     ("asym", "asym.ks", [0, -10**12]),
+    # 2N x 2N dense matrices: N beyond the bound would exhaust memory
+    ("algebra", "algebra.N", MAX_ALGEBRA_N + 1),
+    ("algebra", "algebra.N", 20000),
     # the config path is a directory
     ("simulate", "<directory>", None),
 ]

@@ -12,13 +12,13 @@ import pytest
 from qwalk1d.coin import hadamard_coin, make_coin
 from qwalk1d.direct_walk import (
     Distribution,
+    _csv_text,
     char_fn,
     distribution,
     distribution_to_csv,
     evolve,
     evolve_snapshots,
     initial_state,
-    state_to_csv,
     step,
 )
 from qwalk1d.errors import NormViolation, ResourceLimit
@@ -224,20 +224,20 @@ class TestCharFn:
 class TestSerialization:
     def test_distribution_csv(self):
         d = distribution(evolve(np.array([1.0, 0.0]), hadamard_coin(), 2))
-        text = distribution_to_csv(d)
-        lines = text.strip().splitlines()
-        assert lines[0] == "x,prob"
-        parsed = {int(r.split(",")[0]): float(r.split(",")[1]) for r in lines[1:]}
-        assert parsed[2] == pytest.approx(0.5, abs=1e-15)
-        assert parsed[0] == pytest.approx(0.5, abs=1e-15)
-        assert sum(parsed.values()) == pytest.approx(1.0, abs=1e-14)
+        assert distribution_to_csv(d) == (
+            "x,prob\n-2,0\n-1,0\n0,0.49999999999999978\n1,0\n2,0.49999999999999978\n"
+        )
 
-    def test_state_csv(self):
-        st = evolve(np.array([1.0, 0.0]), hadamard_coin(), 1)
-        lines = state_to_csv(st).strip().splitlines()
-        assert lines[0] == "x,re1,im1,re2,im2"
-        row = dict()
-        for r in lines[1:]:
-            parts = r.split(",")
-            row[int(parts[0])] = [float(v) for v in parts[1:]]
-        assert row[1] == pytest.approx([R, 0.0, -R, 0.0], abs=1e-15)
+    def test_csv_text(self):
+        floats = [0.1, 1.0 / 3.0, 5e-324, -0.0, 1e300, -2.5e-7]
+        ints = [0, -1, 2, 3, -40000, 10**18 + 1]
+        text = _csv_text("k,v", [np.array(ints), floats])
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        lines = text.split("\n")[:-1]
+        assert lines[0] == "k,v"
+        assert len(lines) == 1 + len(ints)
+        for line, k, v in zip(lines[1:], ints, floats):
+            ks, vs = line.split(",")
+            assert ks == str(k)
+            assert float(vs) == v and math.copysign(1.0, float(vs)) == math.copysign(1.0, v)
+        assert _csv_text("a,b", []) == "a,b\n"
