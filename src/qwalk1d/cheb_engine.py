@@ -7,8 +7,10 @@ are computed by the three-term recurrence directly in coefficient space,
 which is O(n^2) total work and numerically stable; the textbook binomial
 sums blow up for large n and live only in the test suite as a cross-check.
 Sums over the coefficients that are circle means (the characteristic-function
-components) skip the coefficients: they sample T_n and U_{n-1} on the unit
-circle in trigonometric form, O(n) work per sum.
+components, the contour integrals of :mod:`qwalk1d.limit_law`) skip the
+coefficients: one Gram kernel samples T_n and U_{n-1} on the unit circle in
+trigonometric form, O(n) work per sum.  Every circle mean takes its nodes
+from one trapezoid rule, sized by the integrand's trigonometric bandwidth.
 
 Exponent convention: ``c_x`` multiplies z**x with x increasing to the right,
 matching the lattice-site indexing of :mod:`qwalk1d.direct_walk`.
@@ -187,21 +189,26 @@ def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution
     return Distribution(offset=-n, probs=probs)
 
 
-def _default_nodes(p: LaurentPoly, q: LaurentPoly) -> int:
-    """Power-of-two node count exceeding the product bandwidth with margin."""
-    band = max(abs(p.lo), abs(p.hi)) + max(abs(q.lo), abs(q.hi))
-    m = 2 * band + 16
-    return 1 << (m - 1).bit_length()
+def _circle(band: int, nodes: int | None = None) -> np.ndarray:
+    """Trapezoid angles 2 pi j / m, j < m, for a circle mean.
+
+    The m-node mean of a trigonometric polynomial of bandwidth B is exact
+    once m > B (Trefethen & Weideman, SIAM Review 56, 2014), so m defaults to
+    band + 16 for an integrand of bandwidth ``band``; ``nodes`` overrides it.
+    """
+    m = band + 16 if nodes is None else int(nodes)
+    if m < 1:
+        raise ValueError(f"node count must be positive, got {m}")
+    return 2.0 * np.pi * np.arange(m) / m
 
 
 def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None = None) -> complex:
     """Trapezoid value of the contour integral of p(w z) q(1/z) dz/(2 pi i z).
 
-    On the unit circle the rule is exact (to roundoff) once the node count
-    exceeds the bandwidth of the integrand, which the default guarantees.
+    The integrand's exponents span p.lo - q.hi .. p.hi - q.lo, so the default
+    circle rule is exact to roundoff; ``nodes`` < 1 raises ValueError.
     """
-    m = _default_nodes(p, q) if nodes is None else int(nodes)
-    z = np.exp(2j * np.pi * np.arange(m) / m)
+    z = np.exp(1j * _circle(max(abs(p.lo - q.hi), abs(p.hi - q.lo)), nodes))
     return complex(np.mean(p.eval(w * z) * q.eval(z.conj())))
 
 
@@ -215,9 +222,11 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
     ------
     ParamViolation
         If w is not on the unit circle within 1e-10.
+    ValueError
+        If ``nodes`` is less than 1.
     QuadratureDivergence
-        If the two sides differ by more than 1e-6 (node count too small for
-        the polynomial degree).
+        If the two sides differ by more than 1e-6 or either is NaN (node
+        count too small for the polynomial degree, or a NaN coefficient).
     """
     w = complex(w)
     if not abs(abs(w) - 1.0) <= 1e-10:
@@ -232,7 +241,7 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
         cq = q.coeffs[lo - q.lo: hi - q.lo + 1]
         coef = complex(np.sum(cp * cq * w ** xs))
     quad = cross_series_quadrature(p, q, w, nodes)
-    if abs(coef - quad) > CROSS_CHECK_TOL:
+    if not abs(coef - quad) <= CROSS_CHECK_TOL:
         raise QuadratureDivergence(
             f"coefficient side {coef!r} and quadrature side {quad!r} differ by "
             f"{abs(coef - quad):.3e}; increase the node count"
@@ -240,14 +249,25 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
     return coef
 
 
-def _cheb_circle(n: int, s: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T_n and U_{n-1} at s*cos(theta), i.e. at s*(z + 1/z)/2 on z = e^{i theta}.
+def _cheb_gram(n: int, s: float, shift: float, k: int = 0) -> np.ndarray:
+    """Circle means g[i, j] = mean(e^{i k theta} r_i(theta) r_j(theta + shift)).
 
-    Trigonometric form: with phi = acos(s cos theta), T_n = cos(n phi) and
-    U_{n-1} = sin(n phi) / sin(phi); sin(phi) >= t > 0 because s < 1.
+    The rows are r = (T_n, U_{n-1}, V = s sin(theta) U_{n-1}) at s*cos(theta),
+    i.e. at s*(z + 1/z)/2 on z = e^{i theta}, in trigonometric form: with
+    phi = acos(s cos theta), T_n = cos(n phi) and U_{n-1} = sin(n phi) / sin(phi),
+    where sin(phi) >= t > 0 because s < 1.  Each row has bandwidth at most n,
+    so every integrand has bandwidth 2n + |k| and the circle rule is exact to
+    roundoff.  The result is real for k = 0.
     """
-    ac = np.arccos(s * np.cos(theta))
-    return np.cos(n * ac), np.sin(n * ac) / np.sin(ac)
+    theta = _circle(2 * n + abs(k))
+    rows = []
+    for th in (theta, theta + shift):
+        ac = np.arccos(s * np.cos(th))
+        um = np.sin(n * ac) / np.sin(ac)
+        rows.append(np.array([np.cos(n * ac), um, s * np.sin(th) * um]))
+    if k:
+        rows[0] = rows[0] * np.exp(1j * k * theta)
+    return rows[0] @ rows[1].T / theta.size
 
 
 def char_fn_components(
@@ -261,8 +281,8 @@ def char_fn_components(
 
     Each sum pairs a column polynomial shifted by xi with another, so it is
     the circle mean of p(e^{i(theta+xi)}) conj(q(e^{i theta})) (coefficients
-    are real); the trapezoid rule on 2n + 16 nodes exceeds the product
-    bandwidth 2n and is exact to roundoff.  On the circle, with V = s sin(theta) U,
+    are real), read off the Chebyshev Gram matrix of :func:`_cheb_gram`.  On
+    the circle, with V = s sin(theta) U,
 
         p1 = T + iV,   q2 = T - iV,   p2 = t z U,   q1 = -t U / z,
 
@@ -282,14 +302,7 @@ def char_fn_components(
         raise ValueError(f"n must be non-negative, got {n}")
     if xi == 0.0:
         return (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
-    m = 2 * n + 16
-    theta = 2.0 * np.pi * np.arange(m) / m
-    rows = []
-    for th in (theta, theta + xi):
-        tn, um = _cheb_circle(n, s, th)
-        rows.append(np.array([tn, um, s * np.sin(th) * um]))
-    # g[i, j] = mean(row i at theta * row j at theta + xi); rows T, U, V
-    g = rows[0] @ rows[1].T / m
+    g = _cheb_gram(n, s, xi)  # rows T, U, V at theta and theta + xi
     w = complex(np.cos(xi), np.sin(xi))
     even = g[0, 0] + g[2, 2]
     odd = 1j * (g[0, 2] - g[2, 0])

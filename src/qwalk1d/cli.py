@@ -361,7 +361,7 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path, override: float | None = None
     """Finite-n contour integrals vs their limits over the n grid."""
     threshold = _threshold(cfg, "asym_pinned", override)
     ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
-    # the circle rules take 4n + 4|k| + 64 nodes
+    # the circle rule takes 2n + |k| + 16 nodes
     _require_within_max(cfg, n_grid)
     _require_within_max(cfg, [abs(k) for k in ks], "|k|")
     s = _polar(cfg, "asym").s

@@ -2,14 +2,14 @@
 
 The limit law on (-s, s) has density t*(1 + lambda*y) / (pi*(1-y^2)*sqrt(s^2-y^2)),
 where lambda depends on the initial spin.  The inverse-square-root edge factor
-is integrable but breaks naive quadrature, so every integral here is computed
-after the substitution y = s*sin(theta), whose integrand is smooth and
+is integrable but breaks naive quadrature, so every expectation under the law
+(:func:`cdf`, :func:`limit_char_fn`, :func:`limit_mean`) goes through one
+helper that substitutes y = s*sin(theta), whose integrand is smooth and
 bounded.  The CDF has an elementary antiderivative in theta, which
 :func:`cdf_grid` evaluates in closed form; :func:`cdf` keeps the adaptive
-quadrature as its reference.  Finite-size contour integrals (trapezoid on the
-unit circle over the Chebyshev samples of :mod:`qwalk1d.cheb_engine`, node
-count tied to the trigonometric bandwidth) and their closed limits support
-the convergence experiments.
+quadrature as its reference.  Finite-size contour integrals (entries of the
+Chebyshev Gram kernel of :mod:`qwalk1d.cheb_engine`, exact circle means) and
+their closed limits support the convergence experiments.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheb_engine import _cheb_circle
+from .cheb_engine import _cheb_gram
 from .coin import CoinMatrix, _check_unit, check_polar
 from .direct_walk import Distribution, _csv_text
 from .errors import DegenerateCoin, ParamViolation, QuadratureFailure
@@ -89,17 +89,6 @@ def density(d: LimitDensity, y) -> float | np.ndarray:
     return val
 
 
-def _theta_integrand(d: LimitDensity):
-    """CDF integrand after y = s*sin(theta): t(1 + lam*s*sin)/(pi(1 - s^2 sin^2))."""
-    s, t, lam = d.s, d.t, d.lam
-
-    def g(theta: np.ndarray) -> np.ndarray:
-        sn = np.sin(theta)
-        return t * (1.0 + lam * s * sn) / (np.pi * (1.0 - s**2 * sn**2))
-
-    return g
-
-
 def _gl_panels(f, a: float, b: float, panels: int) -> complex:
     """Composite 20-point Gauss-Legendre over equal panels of [a, b]."""
     edges = np.linspace(a, b, panels + 1)
@@ -133,13 +122,27 @@ def _adaptive_gl(f, a: float, b: float, tol: float = _QUAD_TOL) -> complex:
     )
 
 
+def _expect(d: LimitDensity, g, y_hi: float | None = None) -> complex:
+    """Integral of g(y) against the limit law over (-s, y_hi], default (-s, s).
+
+    After y = s*sin(theta) the law is (t/pi) (1 + lam*y) / (1 - y^2) dtheta on
+    [-pi/2, asin(y_hi/s)], smooth and bounded; ``g`` maps an array of y to
+    values.  Adaptive Gauss-Legendre, accurate to 1e-10 absolute.
+    """
+    theta_hi = math.pi / 2 if y_hi is None else math.asin(min(y_hi / d.s, 1.0))
+
+    def h(theta: np.ndarray) -> np.ndarray:
+        y = d.s * np.sin(theta)
+        return d.t / np.pi * g(y) * (1.0 + d.lam * y) / (1.0 - y**2)
+
+    return _adaptive_gl(h, -math.pi / 2, theta_hi)
+
+
 def cdf(d: LimitDensity, y: float) -> float:
     """Integral of the density from -s to y by quadrature, accurate to 1e-10 absolute."""
     if y <= -d.s:
         return 0.0
-    theta_hi = math.asin(min(y / d.s, 1.0))
-    g = _theta_integrand(d)
-    return _adaptive_gl(g, -math.pi / 2, theta_hi).real
+    return _expect(d, np.ones_like, y).real
 
 
 def cdf_grid(d: LimitDensity, ys: np.ndarray) -> np.ndarray:
@@ -168,48 +171,27 @@ def limit_char_fn(d: LimitDensity, xi: float) -> complex:
     """
     if xi == 0.0:
         return 1.0 + 0j
-    s, t, lam = d.s, d.t, d.lam
-
-    def h(theta: np.ndarray) -> np.ndarray:
-        sn = np.sin(theta)
-        y = s * sn
-        return t / np.pi * np.exp(1j * xi * y) * (1.0 + lam * y) / (1.0 - y**2)
-
-    return _adaptive_gl(h, -math.pi / 2, math.pi / 2)
+    return _expect(d, lambda y: np.exp(1j * xi * y))
 
 
 def limit_mean(d: LimitDensity) -> float:
     """First moment of the limit density, by quadrature."""
-    s, t, lam = d.s, d.t, d.lam
-
-    def h(theta: np.ndarray) -> np.ndarray:
-        y = s * np.sin(theta)
-        return y * t * (1.0 + lam * y) / (np.pi * (1.0 - y**2))
-
-    return _adaptive_gl(h, -math.pi / 2, math.pi / 2).real
+    return _expect(d, lambda y: y).real
 
 
 def asym_integrals(n: int, k: int, xi: float, s: float) -> tuple[complex, complex, complex, complex]:
     """The four circle integrals pairing shifted and unshifted Chebyshev factors.
 
-    Evaluated by the uniform trapezoid rule with node count 4n + 4|k| + 64,
-    which exceeds the trigonometric bandwidth 2n + |k| of every integrand, so
-    the rule is exact to roundoff.
+    With T = T_n, U = U_{n-1} at s*cos(theta), shift d = xi/n and phase
+    e^{i k theta}, these are A = mean(phase T(theta+d) T), B = mean(phase T(theta+d) U),
+    C = mean(phase U(theta+d) T) and D = mean(phase U(theta+d) U): entries of
+    the Chebyshev Gram kernel, whose circle rule is exact to roundoff.
     """
     check_polar(s)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    m = 4 * n + 4 * abs(k) + 64
-    theta = 2.0 * np.pi * np.arange(m) / m
-    t0, u0 = _cheb_circle(n, s, theta)
-    t1, u1 = _cheb_circle(n, s, theta + xi / n)
-    phase = np.exp(1j * k * theta)
-    return (
-        complex(np.mean(phase * t1 * t0)),
-        complex(np.mean(phase * t1 * u0)),
-        complex(np.mean(phase * u1 * t0)),
-        complex(np.mean(phase * u1 * u0)),
-    )
+    g = _cheb_gram(n, s, xi / n, k)
+    return complex(g[0, 0]), complex(g[1, 0]), complex(g[0, 1]), complex(g[1, 1])
 
 
 def asym_limits(k: int, xi: float, s: float) -> tuple[complex, complex, complex, complex]:
@@ -221,6 +203,7 @@ def asym_limits(k: int, xi: float, s: float) -> tuple[complex, complex, complex,
     """
     check_polar(s)
     half_pi = math.pi / 2
+    prefactor = 2.0 / (4.0 * math.pi)
 
     def base(theta: np.ndarray) -> np.ndarray:
         return np.exp(1j * k * (half_pi - theta))
@@ -231,8 +214,6 @@ def asym_limits(k: int, xi: float, s: float) -> tuple[complex, complex, complex,
         return s * np.cos(theta) / np.sqrt(1.0 - s**2 * sn**2)
 
     if k % 2 == 0:
-        ce = 2.0 / (4.0 * math.pi)
-
         def f_a(theta):
             return base(theta) * np.cos(xi * stretch(theta))
 
@@ -240,16 +221,15 @@ def asym_limits(k: int, xi: float, s: float) -> tuple[complex, complex, complex,
             sn = np.sin(theta)
             return base(theta) * np.cos(xi * stretch(theta)) / (1.0 - s**2 * sn**2)
 
-        a_lim = ce * _adaptive_gl(f_a, -half_pi, half_pi)
-        d_lim = ce * _adaptive_gl(f_d, -half_pi, half_pi)
+        a_lim = prefactor * _adaptive_gl(f_a, -half_pi, half_pi)
+        d_lim = prefactor * _adaptive_gl(f_d, -half_pi, half_pi)
         return a_lim, 0j, 0j, d_lim
-    co = 2.0 / (4.0 * math.pi)
 
     def f_bc(theta):
         sn = np.sin(theta)
         return base(theta) * np.sin(xi * stretch(theta)) / np.sqrt(1.0 - s**2 * sn**2)
 
-    bc = co * _adaptive_gl(f_bc, -half_pi, half_pi)
+    bc = prefactor * _adaptive_gl(f_bc, -half_pi, half_pi)
     return 0j, -bc, bc, 0j
 
 

@@ -300,6 +300,20 @@ class TestCrossSeries:
         with pytest.raises(QuadratureDivergence):
             cross_series(quad.p1, quad.p1, 1.0, nodes=3)
 
+    @pytest.mark.parametrize("nodes", [0, -4])
+    def test_non_positive_node_count_rejected(self, nodes):
+        # no nodes would make the quadrature side NaN and the check vacuous
+        quad = transfer_polys(12, R, R)
+        with pytest.raises(ValueError):
+            cross_series(quad.p1, quad.p1, 1.0, nodes=nodes)
+        with pytest.raises(ValueError):
+            cross_series_quadrature(quad.p1, quad.p1, 1.0, nodes=nodes)
+
+    def test_nan_coefficient_fails_the_check(self):
+        p = LaurentPoly(lo=-1, coeffs=np.array([1.0, math.nan, 1.0]))
+        with pytest.raises(QuadratureDivergence):
+            cross_series(p, p, 1.0)
+
 
 def coefficient_sums(quad, psi, xi):
     """(P, Q, R, E) summed over the transfer polynomials' coefficients."""

@@ -299,7 +299,7 @@ MALFORMED = [
     ("charfn", "xi_grid", [0.0]),
     ("asym", "asym.ks", []),
     ("asym", "asym.xis", []),
-    # beyond max_n: the circle rules would allocate 4n + 4|k| nodes
+    # beyond max_n: the circle rule would allocate 2n + |k| + 16 nodes
     ("asym", "asym.n_grid", [50, 10**12]),
     ("asym", "asym.ks", [0, -10**12]),
     # 2N x 2N dense matrices: N beyond the bound would exhaust memory

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qwalk1d.cheb_engine import cheb_T_laurent, cheb_U_laurent
 from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
 from qwalk1d.direct_walk import distribution, evolve
 from qwalk1d.errors import DegenerateCoin, ParamViolation, QuadratureFailure
@@ -239,6 +240,23 @@ class TestAsymIntegrals:
     def test_invalid_s(self):
         with pytest.raises(ParamViolation):
             asym_integrals(10, 0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("s", [0.3, R, 0.95])
+    def test_matches_coefficient_sums(self, s):
+        # independent oracle: with a, b the Laurent coefficients of T_n and
+        # U_{n-1}, each circle mean is sum_y p_y q_{-y-k} e^{i y xi/n}
+        for n in (1, 2, 7, 60, 300):
+            a, b = cheb_T_laurent(n, s), cheb_U_laurent(n - 1, s)
+            ys = np.arange(-n, n + 1)
+            for k in (-3, 0, 1, 2, 5):
+                for xi in (0.0, 1.0, -2.5):
+                    phase = np.exp(1j * ys * xi / n)
+                    ref = [
+                        np.sum(np.array([p.c(y) * q.c(-y - k) for y in ys]) * phase)
+                        for p, q in ((a, a), (a, b), (b, a), (b, b))
+                    ]
+                    got = asym_integrals(n, k, xi, s)
+                    assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-12, (n, k, xi)
 
 
 class TestAsymLimits:
