@@ -2,15 +2,24 @@
 
 The n-step walk operator acts on the two cyclic basis columns through four
 Laurent polynomials with real coefficients, all built from first- and
-second-kind Chebyshev polynomials evaluated at s*(z + 1/z)/2.  Coefficients
-are computed by the three-term recurrence directly in coefficient space,
-which is O(n^2) total work and numerically stable; the textbook binomial
-sums blow up for large n and live only in the test suite as a cross-check.
-Sums over the coefficients that are circle means (the characteristic-function
-components, the contour integrals of :mod:`qwalk1d.limit_law`) skip the
-coefficients: one Gram kernel samples T_n and U_{n-1} on the unit circle in
-trigonometric form, O(n) work per sum.  Every circle mean takes its nodes
-from one trapezoid rule, sized by the integrand's trigonometric bandwidth.
+second-kind Chebyshev polynomials evaluated at s*(z + 1/z)/2.  On the unit
+circle z = e^{i theta} these are T_n = cos(n phi) and U_{n-1} =
+sin(n phi) / sin(phi) with cos(phi) = s cos(theta), so one row builder
+samples them in trigonometric form and everything else is a circle mean:
+
+- the coefficients, hence :func:`qn_distribution`, are one real FFT of the
+  samples, O(n log n) per n;
+- the characteristic-function components and the contour integrals of
+  :mod:`qwalk1d.limit_law` are entries of one Gram kernel, O(n) per sum;
+- :func:`cross_series_quadrature` evaluates two polynomials at the roots of
+  unity by one FFT of their coefficients folded onto the nodes.
+
+Every circle mean takes its nodes from one trapezoid rule, sized by the
+integrand's trigonometric bandwidth (rounded up to a power of two for the
+coefficient FFT).  The three-term recurrence in coefficient space
+(:func:`transfer_polys`, O(n^2)) stays as the coefficient oracle; the
+textbook binomial sums blow up for large n and live only in the test suite
+as a cross-check.
 
 Exponent convention: ``c_x`` multiplies z**x with x increasing to the right,
 matching the lattice-site indexing of :mod:`qwalk1d.direct_walk`.
@@ -134,6 +143,16 @@ def cheb_U_laurent(m: int, s: float) -> LaurentPoly:
     return LaurentPoly(lo=-m, coeffs=_recurrence(np.array([s, 0.0, s]), m, s)[1])
 
 
+def _columns(tn: np.ndarray, um: np.ndarray, s: float, t: float) -> tuple[np.ndarray, ...]:
+    """Coefficients of p1, p2, q1, q2 from those of T_n and U_{n-1} on [-n, n]."""
+    z_um = np.zeros_like(um)
+    z_um[1:] = um[:-1]          # z * U
+    zinv_um = np.zeros_like(um)
+    zinv_um[:-1] = um[1:]       # (1/z) * U
+    odd = (s / 2) * (z_um - zinv_um)
+    return tn + odd, t * z_um, -t * zinv_um, tn - odd
+
+
 def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
     """Build the four column polynomials for the n-step operator.
 
@@ -158,58 +177,118 @@ def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
         # and U_{n-1} is the U row one step behind the last
         prev, curr = _recurrence(np.array([[s / 2, s], [0.0, 0.0], [s / 2, s]]), n, s)
         tn, um = curr[:, 0], prev[:, 1]
-    z_um = np.zeros_like(um)
-    z_um[1:] = um[:-1]          # z * U
-    zinv_um = np.zeros_like(um)
-    zinv_um[:-1] = um[1:]       # (1/z) * U
-    odd = (s / 2) * (z_um - zinv_um)
-    lo = -n
-    return TransferQuadruple(
-        p1=LaurentPoly(lo, tn + odd),
-        p2=LaurentPoly(lo, t * z_um),
-        q1=LaurentPoly(lo, -t * zinv_um),
-        q2=LaurentPoly(lo, tn - odd),
-    )
+    return TransferQuadruple(*(LaurentPoly(-n, c) for c in _columns(tn, um, s, t)))
+
+
+def _node_count(band: int, nodes: int | None = None) -> int:
+    """Trapezoid node count m for a circle mean of bandwidth ``band``.
+
+    The m-node mean of a trigonometric polynomial of bandwidth B is exact
+    once m > B (Trefethen & Weideman, SIAM Review 56, 2014), so m defaults to
+    band + 16; ``nodes`` overrides it and must be positive.
+    """
+    m = band + 16 if nodes is None else int(nodes)
+    if m < 1:
+        raise ValueError(f"node count must be positive, got {m}")
+    return m
+
+
+def _circle(band: int, nodes: int | None = None) -> np.ndarray:
+    """Trapezoid angles 2 pi j / m, j < m, with m = :func:`_node_count`."""
+    m = _node_count(band, nodes)
+    return 2.0 * np.pi * np.arange(m) / m
+
+
+def _cheb_rows(n: int, s: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of T_n and U_{n-1} at s*cos(theta).
+
+    That is s*(z + 1/z)/2 on z = e^{i theta}, in trigonometric form: with
+    phi = acos(s cos theta), T_n = cos(n phi) and U_{n-1} = sin(n phi) / sin(phi),
+    where sin(phi) >= t > 0 because s < 1.  Each has bandwidth at most n.
+    """
+    ac = np.arccos(s * np.cos(theta))
+    return np.cos(n * ac), np.sin(n * ac) / np.sin(ac)
+
+
+def _cheb_coeffs(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Laurent coefficients of T_n and U_{n-1} at s*(z+1/z)/2 on [-n, n], by FFT.
+
+    Both are read off their samples on m circle nodes by one real FFT, m the
+    power of two above 2n: the m-node trapezoid rule is exact for bandwidth
+    n < m / 2, and both are even in theta, so the coefficients are real and
+    palindromic.  Coefficients of the wrong parity (T_n has the parity of n,
+    U_{n-1} that of n - 1) are set to exactly 0.  Cost is O(n log n);
+    :func:`transfer_polys` keeps the O(n^2) recurrence as the oracle.
+    """
+    theta = _circle(2 * n, 1 << (2 * n).bit_length())
+    # coefficients of z^0 .. z^n
+    half = np.fft.rfft(_cheb_rows(n, s, theta))[:, :n + 1].real / theta.size
+    half[0, (n + 1) % 2::2] = 0.0
+    half[1, n % 2::2] = 0.0
+    tn, um = np.concatenate([half[:, :0:-1], half], axis=1)
+    return tn, um
 
 
 def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution:
     """Walk distribution after n steps from spin psi, via the closed form.
 
+    The columns are built from the FFT coefficients of :func:`_cheb_coeffs`
+    in O(n log n).  p1 at -n and q2 at n lie outside their columns' support
+    and are set to exactly 0, so with the parity zeros every site the walk
+    cannot reach has probability exactly 0.
+
     The quadratic form in the four coefficient columns is grouped as two
     squared moduli, |psi_1 c(p1) + psi_2 c(q1)|^2 + |psi_1 c(p2) + psi_2 c(q2)|^2,
     which is the same real value as the expanded cross-term formula but keeps
     every entry non-negative in floating point.
+
+    Raises
+    ------
+    NormViolation
+        If psi is not a unit vector.
+    ParamViolation
+        If (s, t) fails :func:`~qwalk1d.coin.check_polar`.
+    ValueError
+        If n is negative.
     """
     psi = np.asarray(psi, dtype=complex)
     _check_unit(psi)
-    quad = transfer_polys(n, s, t)
-    a1 = psi[0] * quad.p1.coeffs + psi[1] * quad.q1.coeffs
-    a2 = psi[0] * quad.p2.coeffs + psi[1] * quad.q2.coeffs
+    check_polar(s, t)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    p1, p2, q1, q2 = _columns(*_cheb_coeffs(n, s), s, t)
+    if n:
+        # the first column lives on [2 - n, n] and the second on [-n, n - 2]
+        p1[0] = q2[-1] = 0.0
+    a1 = psi[0] * p1 + psi[1] * q1
+    a2 = psi[0] * p2 + psi[1] * q2
     probs = np.abs(a1) ** 2 + np.abs(a2) ** 2
     return Distribution(offset=-n, probs=probs)
 
 
-def _circle(band: int, nodes: int | None = None) -> np.ndarray:
-    """Trapezoid angles 2 pi j / m, j < m, for a circle mean.
-
-    The m-node mean of a trigonometric polynomial of bandwidth B is exact
-    once m > B (Trefethen & Weideman, SIAM Review 56, 2014), so m defaults to
-    band + 16 for an integrand of bandwidth ``band``; ``nodes`` overrides it.
-    """
-    m = band + 16 if nodes is None else int(nodes)
-    if m < 1:
-        raise ValueError(f"node count must be positive, got {m}")
-    return 2.0 * np.pi * np.arange(m) / m
+def _fold(coeffs: np.ndarray, lo: int, m: int) -> np.ndarray:
+    """Sum coeffs[i], the coefficient of z**(lo + i), into slot (lo + i) mod m."""
+    k = lo % m
+    out = np.zeros(-(-(k + coeffs.size) // m) * m, dtype=coeffs.dtype)
+    out[k:k + coeffs.size] = coeffs
+    return out.reshape(-1, m).sum(axis=0)
 
 
 def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None = None) -> complex:
     """Trapezoid value of the contour integral of p(w z) q(1/z) dz/(2 pi i z).
 
     The integrand's exponents span p.lo - q.hi .. p.hi - q.lo, so the default
-    circle rule is exact to roundoff; ``nodes`` < 1 raises ValueError.
+    circle rule is exact to roundoff; ``nodes`` < 1 raises ValueError.  Both
+    factors are evaluated at the m roots of unity by one FFT of their
+    coefficients folded mod m, which gives exactly the polynomials' values
+    at those nodes, so a node count below the degree aliases as it would
+    with pointwise evaluation.
     """
-    z = np.exp(1j * _circle(max(abs(p.lo - q.hi), abs(p.hi - q.lo)), nodes))
-    return complex(np.mean(p.eval(w * z) * q.eval(z.conj())))
+    m = _node_count(max(abs(p.lo - q.hi), abs(p.hi - q.lo)), nodes)
+    # p(w z_j) = sum_x c_x w^x e^{+2 pi i j x / m}: fold p reversed, at exponent -x
+    pw = (p.coeffs * complex(w) ** np.arange(p.lo, p.hi + 1))[::-1]
+    vals = np.fft.fft(np.array([_fold(pw, -p.hi, m), _fold(q.coeffs, q.lo, m)]))
+    return complex(np.mean(vals[0] * vals[1]))
 
 
 def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None = None) -> complex:
@@ -252,19 +331,15 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
 def _cheb_gram(n: int, s: float, shift: float, k: int = 0) -> np.ndarray:
     """Circle means g[i, j] = mean(e^{i k theta} r_i(theta) r_j(theta + shift)).
 
-    The rows are r = (T_n, U_{n-1}, V = s sin(theta) U_{n-1}) at s*cos(theta),
-    i.e. at s*(z + 1/z)/2 on z = e^{i theta}, in trigonometric form: with
-    phi = acos(s cos theta), T_n = cos(n phi) and U_{n-1} = sin(n phi) / sin(phi),
-    where sin(phi) >= t > 0 because s < 1.  Each row has bandwidth at most n,
-    so every integrand has bandwidth 2n + |k| and the circle rule is exact to
-    roundoff.  The result is real for k = 0.
+    The rows are r = (T_n, U_{n-1}, V = s sin(theta) U_{n-1}), with T_n and
+    U_{n-1} from :func:`_cheb_rows`.  Every integrand has bandwidth 2n + |k|,
+    so the circle rule is exact to roundoff.  The result is real for k = 0.
     """
     theta = _circle(2 * n + abs(k))
     rows = []
     for th in (theta, theta + shift):
-        ac = np.arccos(s * np.cos(th))
-        um = np.sin(n * ac) / np.sin(ac)
-        rows.append(np.array([np.cos(n * ac), um, s * np.sin(th) * um]))
+        tn, um = _cheb_rows(n, s, th)
+        rows.append(np.array([tn, um, s * np.sin(th) * um]))
     if k:
         rows[0] = rows[0] * np.exp(1j * k * theta)
     return rows[0] @ rows[1].T / theta.size

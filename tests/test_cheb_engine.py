@@ -1,18 +1,24 @@
 """Tests for the Laurent-coefficient engine.
 
-Two independent oracles appear here: a dict-based Laurent arithmetic that
+Independent oracles appear here: a dict-based Laurent arithmetic that
 expands the explicit binomial sums for the Chebyshev polynomials (slow and
 precision-losing, which is why it is the cross-check and not the engine),
-and the direct-evolution walk from qwalk1d.direct_walk.
+the coefficient-space recurrence of ``transfer_polys`` for the FFT
+coefficients, 30-digit trapezoid sums in mpmath where the recurrence is too
+slow, and the direct-evolution walk from qwalk1d.direct_walk.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from qwalk1d import cheb_engine
 from qwalk1d.cheb_engine import (
     LaurentPoly,
+    _cheb_coeffs,
+    _columns,
     char_fn_components,
     cheb_T_laurent,
     cheb_U_laurent,
@@ -22,7 +28,7 @@ from qwalk1d.cheb_engine import (
     transfer_polys,
 )
 from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
-from qwalk1d.direct_walk import char_fn, distribution, evolve
+from qwalk1d.direct_walk import char_fn, distribution, evolve, evolve_snapshots
 from qwalk1d.errors import NormViolation, ParamViolation, QuadratureDivergence
 
 R = 1.0 / math.sqrt(2.0)
@@ -249,6 +255,103 @@ class TestQnDistribution:
         d = qn_distribution(np.array([R, 1j * R]), 0, 0.6, 0.8)
         assert d.prob(0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "psi, n, s, t, error",
+        [
+            ([1.0, 0.0], 3, 1.5, 0.2, ParamViolation),
+            ([1.0, 0.0], 3, math.nan, 0.8, ParamViolation),
+            ([1.0, 0.0], 3, 0.6, 0.9, ParamViolation),
+            ([1.0, 0.0], -3, 0.6, 0.8, ValueError),
+            ([1.0, 1.0], 3, 0.6, 0.8, NormViolation),
+        ],
+    )
+    def test_invalid_parameters(self, psi, n, s, t, error, monkeypatch):
+        # every check runs before the circle samples are allocated
+        def boom(*args):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(cheb_engine, "_cheb_coeffs", boom)
+        with pytest.raises(error):
+            qn_distribution(np.array(psi), n, s, t)
+
+    @pytest.mark.parametrize("s", [0.3, R, 0.95])
+    def test_unreachable_edge_is_exact_zero(self, s):
+        # from the first basis spin the walk cannot be at -n, from the second not at n
+        t = math.sqrt(1 - s * s)
+        for n in range(1, 41):
+            assert qn_distribution(np.array([1.0, 0.0]), n, s, t).probs[0] == 0.0
+            assert qn_distribution(np.array([0.0, 1.0]), n, s, t).probs[-1] == 0.0
+
+
+def mp_t_coefficients(n, s, xs):
+    """Coefficients of z^x of T_n(s(z+1/z)/2), by a 30-digit trapezoid sum.
+
+    The samples cos(n acos(s cos theta)) need the extra digits at large n; the
+    weights cos(x theta_j) are exact to rounding once x j is reduced mod m.
+    """
+    m = 2 * n + 2
+    js = np.arange(m // 2 + 1)  # theta and -theta give the same sample
+    with mpmath.workdps(30):
+        step = 2 * mpmath.pi / m
+        f = np.array([float(mpmath.cos(n * mpmath.acos(s * mpmath.cos(j * step)))) for j in js])
+    f[1:-1] *= 2
+    return [float(f @ np.cos(2 * np.pi * (x * js % m) / m)) / m for x in xs]
+
+
+class TestFftCoefficients:
+    @pytest.mark.parametrize("s", [0.3, R, 0.95])
+    def test_match_recurrence_at_large_n(self, s):
+        t = math.sqrt(1 - s * s)
+        for n in (0, 1, 2, 3, 10, 10**4):
+            quad = transfer_polys(n, s, t)
+            cols = _columns(*_cheb_coeffs(n, s), s, t)
+            for got, ref in zip(cols, (quad.p1, quad.p2, quad.q1, quad.q2)):
+                assert got.shape == ref.coeffs.shape
+                assert np.max(np.abs(got - ref.coeffs)) < 1e-12
+
+    def test_parity_zeros_exact(self):
+        for n in (0, 1, 2, 9, 100, 1001):
+            tn, um = _cheb_coeffs(n, 0.6)
+            assert np.all(tn[1::2] == 0.0) and np.all(um[0::2] == 0.0)
+            assert np.array_equal(tn, tn[::-1]) and np.array_equal(um, um[::-1])
+
+    def test_t_coefficients_match_mpmath_at_n_10000(self):
+        n, s = 10**4, R
+        xs = [0, 2, 5000, 7070, n - 2]  # centre, bulk, ballistic front, tail
+        tn, _ = _cheb_coeffs(n, s)
+        ref = mp_t_coefficients(n, s, xs)
+        assert np.max(np.abs(tn[n + np.array(xs)] - ref)) < 1e-13
+        assert abs(ref[3]) > 0.01  # the front coefficient is not a vacuous zero
+
+
+class TestLargeN:
+    def test_mass_at_n_100000(self):
+        n = 10**5
+        for psi in (np.array([1.0, 0.0]), np.array([R, 1j * R]), np.array([0.6, 0.48 - 0.64j])):
+            d = qn_distribution(psi, n, R, R)
+            assert abs(1.0 - d.total()) <= 1e-13
+            assert np.all(d.probs[1::2] == 0.0)
+
+    @pytest.mark.parametrize(
+        "phi, coin",
+        [
+            (np.array([R, 1j * R]), hadamard_coin()),
+            (np.array([1.0, 0.0]), hadamard_coin()),
+            (np.array([0.6, 0.8j]), make_coin(0.36 + 0.48j, 0.8j)),
+        ],
+        ids=["symmetric", "right", "complex"],
+    )
+    def test_matches_direct_evolution_at_n_6000(self, phi, coin):
+        n = 6000
+        pp = polar(coin)
+        (_, st), = evolve_snapshots(phi, coin, [n])
+        ref = distribution(st)
+        got = qn_distribution(psi_from_phi(phi, pp), n, pp.s, pp.t)
+        assert got.offset == ref.offset and got.probs.shape == ref.probs.shape
+        assert np.max(np.abs(got.probs - ref.probs)) < 1e-13
+        # sites of the wrong parity are exact zeros on both paths
+        assert np.all(got.probs[1::2] == 0.0) and np.all(ref.probs[1::2] == 0.0)
+
 
 class TestDualPath:
     def test_matches_direct_evolution(self):
@@ -313,6 +416,20 @@ class TestCrossSeries:
         p = LaurentPoly(lo=-1, coeffs=np.array([1.0, math.nan, 1.0]))
         with pytest.raises(QuadratureDivergence):
             cross_series(p, p, 1.0)
+
+    @pytest.mark.parametrize("nodes", [None, 1, 2, 3, 7, 24, 25, 100])
+    def test_folded_fft_matches_pointwise_evaluation(self, nodes):
+        # the same nodes through Horner's LaurentPoly.eval; below the degree
+        # both sides alias the same way
+        rng = np.random.default_rng(35)
+        quad = transfer_polys(12, 0.6, 0.8)
+        odd = LaurentPoly(lo=5, coeffs=rng.normal(size=9))
+        for p, q in [(quad.p1, quad.p1), (quad.p2, quad.q1), (odd, quad.q2), (quad.q1, odd)]:
+            for w in (1.0, -1.0, 1j, complex(np.exp(2.1j))):
+                m = nodes or max(abs(p.lo - q.hi), abs(p.hi - q.lo)) + 16
+                z = np.exp(2j * np.pi * np.arange(m) / m)
+                ref = np.mean(p.eval(w * z) * q.eval(z.conj()))
+                assert abs(cross_series_quadrature(p, q, w, nodes) - ref) < 1e-13
 
 
 def coefficient_sums(quad, psi, xi):

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from qwalk1d.cli import (
     load_config,
     main,
 )
-from qwalk1d import cheb_engine
-from qwalk1d.coin import CoinMatrix
+from qwalk1d import cheb_engine, direct_walk, limit_law
+from qwalk1d.coin import CoinMatrix, polar
 from qwalk1d.direct_walk import Distribution
 from qwalk1d.errors import InvalidConfig
 
 R = math.sqrt(0.5)
+HADAMARD_RIGHT = Path(__file__).resolve().parent.parent / "configs" / "hadamard_right.json"
 
 
 def base_config(**overrides):
@@ -203,6 +205,51 @@ class TestLimit:
         cfg_path = write_config(tmp_path, cfg)
         code = main(["limit", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == EXIT_BAD_CONFIG
+
+    def test_does_not_evolve(self, tmp_path, monkeypatch):
+        # the closed form gives every Q_n; direct evolution is O(n^2)
+        def boom(*args, **kwargs):
+            raise AssertionError("limit evolved the walk")
+
+        monkeypatch.setattr(direct_walk, "evolve", boom)
+        monkeypatch.setattr(direct_walk, "evolve_snapshots", boom)
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["limit", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_PASS
+
+    @pytest.mark.parametrize("config", ["default", "right", "complex"])
+    def test_matches_direct_evolution_on_shipped_grid(self, tmp_path, config):
+        cfg_path = {"default": None, "right": str(HADAMARD_RIGHT)}.get(config)
+        if config == "complex":
+            raw = json.loads(HADAMARD_RIGHT.read_text())
+            raw["coin"] = {"a": [0.36, 0.48], "b": [0.0, 0.8]}
+            raw["phi"] = [[0.6, 0.0], [0.0, 0.8]]
+            raw["tol"]["kolmogorov_pinned"] = 0.1
+            cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        argv = ["limit", "--out", str(out)] + ([] if cfg_path is None else ["--config", cfg_path])
+        assert main(argv) == EXIT_PASS
+        cfg = load_config(cfg_path)
+        assert cfg.n_grid == [125, 250, 500, 1000, 2000]
+        pol = polar(cfg.coin)
+        ld = limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
+        rows = [line.split(",") for line in (out / "kolmogorov.csv").read_text().splitlines()[1:]]
+        snaps = direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.n_grid)
+        for (n, st), (n_row, d_row) in zip(snaps, rows, strict=True):
+            ref = limit_law.kolmogorov_distance(direct_walk.distribution(st), ld, n)
+            assert int(n_row) == n
+            assert abs(float(d_row) - ref) < 1e-12
+
+    def test_reaches_max_n(self, tmp_path):
+        cfg = base_config()
+        n_grid = cfg["n_grid"] = [1000, 10000, cfg["max_n"]]
+        cfg["tol"]["kolmogorov_pinned"] = 0.014243679387957835  # the shipped pin for this spin
+        out = tmp_path / "out"
+        argv = ["limit", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(argv) == EXIT_PASS
+        rows = [line.split(",") for line in (out / "kolmogorov.csv").read_text().splitlines()[1:]]
+        assert [int(n) for n, _ in rows] == n_grid
+        d = [float(v) for _, v in rows]
+        assert 0.0 < d[2] < d[1] < d[0]
 
 
 class TestCharFn:
