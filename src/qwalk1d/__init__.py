@@ -3,18 +3,12 @@
 Distributions come from exact direct evolution on a growing lattice window
 and, independently, from a closed form built on Chebyshev coefficients in a
 Laurent basis; the operator algebra behind the walk is verified exactly on
-finite cyclic lattices; the rescaled position converges to a known limit
-density, measured by Kolmogorov distance and characteristic functions.
+finite cyclic lattices, as one 2 x 2 Fourier symbol per lattice mode; the
+rescaled position converges to a known limit density, measured by
+Kolmogorov distance and characteristic functions.
 """
 
-from .algebra_check import (
-    CyclicRep,
-    RelationReport,
-    build_basis,
-    build_rep,
-    qwr_check,
-    verify_relations,
-)
+from .algebra_check import CyclicRep, RelationReport, build_rep, verify_relations
 from .cheb_engine import (
     LaurentPoly,
     TransferQuadruple,
@@ -109,8 +103,6 @@ __all__ = [
     "RelationReport",
     "build_rep",
     "verify_relations",
-    "build_basis",
-    "qwr_check",
     "LimitDensity",
     "lambda_psi",
     "lambda_phi",

@@ -47,9 +47,15 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 
-# build_rep and verify_relations hold about 19 dense 2N x 2N complex matrices
-# at once: peak RSS is about 31 MB + 1.2 KB * N^2, so about 345 MB at this bound.
-MAX_ALGEBRA_N = 512
+# build_rep and verify_relations hold about 19 operators as (N, 2, 2) complex
+# Fourier symbols at once: about 1.15 KB * N (tracemalloc peak), so 72 MiB and
+# about 2 s at this bound.
+MAX_ALGEBRA_N = 65536
+
+# Bound on max_n (config field and --max-n), the largest n any verb computes.
+# The closed form holds O(n) floats: one Q_n at this bound takes about 0.9 s
+# and 153 MiB (tracemalloc peak), where n = 10**9 would ask for about 100 GB.
+MAX_N = 10**6
 
 # Verb name -> help text; ``main`` runs the module's ``cmd_<verb>``.
 VERBS = {
@@ -201,7 +207,7 @@ def load_config(path: str | None) -> ExperimentConfig:
             "n_grid": _grid(asym.get("n_grid", [200, 2000]), "asym.n_grid", 1),
         },
         tol=tol,
-        max_n=_integer(raw.get("max_n", direct_walk.DEFAULT_MAX_STEPS), "max_n", 0),
+        max_n=_integer(raw.get("max_n", direct_walk.DEFAULT_MAX_STEPS), "max_n", 0, MAX_N),
     )
 
 
@@ -424,9 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.max_n is not None:
-            if args.max_n < 0:
-                raise InvalidConfig(f"--max-n must be non-negative, got {args.max_n}")
-            cfg.max_n = args.max_n
+            cfg.max_n = _integer(args.max_n, "--max-n", 0, MAX_N)
         if args.tol is not None and not math.isfinite(args.tol):
             raise InvalidConfig(f"--tol must be finite, got {args.tol}")
         # looked up at call time, so a cmd_<verb> swapped into the module is the one run

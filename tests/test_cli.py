@@ -15,6 +15,7 @@ from qwalk1d.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PASS,
     MAX_ALGEBRA_N,
+    MAX_N,
     TOL_DEFAULTS,
     atomic_write,
     load_config,
@@ -308,6 +309,16 @@ class TestAlgebra:
         assert main(["algebra", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_PASS
 
 
+def test_algebra_at_a_large_lattice(tmp_path):
+    # the symbol form holds O(N) memory; dense 2N x 2N matrices would need 1 GiB each
+    cfg = base_config(algebra={"N": 4096, "alpha": None, "beta": None, "seed": 3})
+    out = tmp_path / "out"
+    assert main(["algebra", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_PASS
+    report = json.loads((out / "relation_report.json").read_text())
+    assert len(report) == 25
+    assert max(report.values()) <= 1e-12
+
+
 class TestAsym:
     def test_pass_and_table_shape(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -349,9 +360,12 @@ MALFORMED = [
     # beyond max_n: the circle rule would allocate 2n + |k| + 16 nodes
     ("asym", "asym.n_grid", [50, 10**12]),
     ("asym", "asym.ks", [0, -10**12]),
-    # 2N x 2N dense matrices: N beyond the bound would exhaust memory
+    # beyond the bound the symbols' O(N) memory and time grow past any use
     ("algebra", "algebra.N", MAX_ALGEBRA_N + 1),
-    ("algebra", "algebra.N", 20000),
+    ("algebra", "algebra.N", 10**9),
+    # beyond MAX_N: the closed form would ask for about 100 GB at n = 10**9
+    ("limit", "max_n", 10**9),
+    ("limit", "--max-n", MAX_N + 1),
     # the config path is a directory
     ("simulate", "<directory>", None),
 ]
@@ -359,11 +373,16 @@ MALFORMED = [
 
 @pytest.mark.parametrize("verb, key, value", MALFORMED, ids=lambda v: repr(v)[:24])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, verb, key, value):
+    flags = []
     if key == "<directory>":
         cfg_path = str(tmp_path)
+    elif key is not None and key.startswith("--"):
+        cfg_path = write_config(tmp_path, base_config())
+        flags = [key, str(value)]
     else:
         cfg_path = write_config(tmp_path, replaced(base_config(), key, value))
-    assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
+    argv = [verb, "--config", cfg_path, "--out", str(tmp_path / "o")] + flags
+    assert main(argv) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invalid config: ")
 

@@ -14,3 +14,11 @@ def test_removed_writers_are_gone():
         assert not hasattr(qwalk1d, name)
     assert not hasattr(qwalk1d.LaurentPoly, "exponents")
     assert not hasattr(qwalk1d.coin, "INTERNAL_TOL")
+
+
+def test_test_only_algebra_helpers_are_gone():
+    # the seed basis and the cyclicity check live in the tests' dense oracle
+    for name in ("build_basis", "qwr_check"):
+        assert name not in qwalk1d.__all__
+        assert not hasattr(qwalk1d, name)
+        assert not hasattr(qwalk1d.algebra_check, name)
