@@ -58,7 +58,6 @@ from .limit_law import (
     LimitDensity,
     asym_integrals,
     asym_limits,
-    cdf,
     cdf_grid,
     density,
     density_cdf_csv,
@@ -107,7 +106,6 @@ __all__ = [
     "lambda_psi",
     "lambda_phi",
     "density",
-    "cdf",
     "cdf_grid",
     "limit_char_fn",
     "limit_mean",

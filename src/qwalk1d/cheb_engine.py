@@ -16,8 +16,11 @@ samples them in trigonometric form and everything else is a circle mean:
 
 Every circle mean takes its nodes from one trapezoid rule, sized by the
 integrand's trigonometric bandwidth (rounded up to a power of two for the
-coefficient FFT).  The three-term recurrence in coefficient space
-(:func:`transfer_polys`, O(n^2)) stays as the coefficient oracle; the
+coefficient FFT); an integrand of unbounded bandwidth, such as the limit-law
+integrals of :mod:`qwalk1d.limit_law`, doubles a power-of-two node count
+until successive means agree (:func:`_circle_mean`).  The three-term
+recurrence in coefficient space (:func:`transfer_polys`, O(n^2)) stays as
+the coefficient oracle; the
 textbook binomial sums blow up for large n and live only in the test suite
 as a cross-check.
 
@@ -27,15 +30,18 @@ matching the lattice-site indexing of :mod:`qwalk1d.direct_walk`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coin import _check_unit, check_polar
 from .direct_walk import Distribution
-from .errors import ParamViolation, QuadratureDivergence
+from .errors import ParamViolation, QuadratureDivergence, QuadratureFailure
 
 CROSS_CHECK_TOL = 1e-6  # coefficient side vs quadrature side agreement
+_QUAD_TOL = 1e-10  # absolute accuracy target of _circle_mean
+_MAX_NODES = 1 << 20  # node cap of _circle_mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +203,44 @@ def _circle(band: int, nodes: int | None = None) -> np.ndarray:
     """Trapezoid angles 2 pi j / m, j < m, with m = :func:`_node_count`."""
     m = _node_count(band, nodes)
     return 2.0 * np.pi * np.arange(m) / m
+
+
+def _circle_mean(f, band: float) -> np.ndarray:
+    """Circle mean of a smooth 2 pi-periodic integrand, to 1e-10 absolute.
+
+    ``f`` maps an array of angles to values whose last axis runs over them;
+    the result has the remaining shape.  The trapezoid rule converges
+    geometrically on such integrands (Trefethen & Weideman, SIAM Review 56,
+    2014).  The node count m starts at the power of two >= ceil(band) + 16 and
+    doubles, evaluating only the new midpoints, until two successive means
+    agree within ``_QUAD_TOL``.  Powers of two matter: the limit-law
+    integrands are invariant under theta -> pi - theta, so their Fourier
+    coefficients obey c_{-j} = (-1)^j c_j; at an odd m the aliases c_{+-m}
+    cancel, and the m- and 2m-node means share their leading error c_{+-2m}
+    and agree before either is accurate.  The tolerance applies to the
+    values ``f`` returns, so ``f`` carries every scale factor of the result.
+
+    Raises
+    ------
+    QuadratureFailure
+        If the means still disagree at ``_MAX_NODES`` nodes, or the starting
+        count already reaches it or ``band`` is NaN (checked before ``f`` is
+        called).
+    """
+    if not band + 16 <= _MAX_NODES // 2:  # else the starting count reaches the cap
+        raise QuadratureFailure(
+            f"circle mean of bandwidth {float(band):.3g} needs more than {_MAX_NODES} nodes"
+        )
+    m = 1 << (math.ceil(band) + 15).bit_length()
+    mean = np.mean(f(_circle(0, m)), axis=-1)
+    while m < _MAX_NODES:
+        prev, mean = mean, (mean + np.mean(f(_circle(0, m) + np.pi / m), axis=-1)) / 2
+        m *= 2
+        if np.max(np.abs(mean - prev)) < _QUAD_TOL:
+            return mean
+    raise QuadratureFailure(
+        f"circle mean did not stabilize to {_QUAD_TOL} within {_MAX_NODES} nodes"
+    )
 
 
 def _cheb_rows(n: int, s: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

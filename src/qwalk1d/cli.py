@@ -37,7 +37,6 @@ from .errors import (
     NormViolation,
     ParamViolation,
     PathMismatch,
-    QuadratureFailure,
     QWalkError,
     RelationFailure,
     ResourceLimit,
@@ -162,8 +161,9 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config must be a JSON object, got {type(raw).__name__}")
-    if raw.get("schema_version") != 1:
-        raise InvalidConfig(f"unsupported schema_version {raw.get('schema_version')!r}")
+    version = raw.get("schema_version")
+    if type(version) is not int or version != 1:  # JSON true and 1.0 both equal 1
+        raise InvalidConfig(f"unsupported schema_version {version!r}")
     coin_raw = _object(raw, "coin")
     try:
         coin = make_coin(
@@ -217,11 +217,18 @@ def _require_within_max(cfg: ExperimentConfig, ns: list[int], what: str = "n") -
 
 
 def atomic_write(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.
+
+    The file gets the mode a new file from ``open(path, "w")`` would get,
+    0o666 less the umask; ``mkstemp`` alone would leave it 0o600.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -377,11 +384,7 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path, override: float | None = None
     _require_within_max(cfg, n_grid)
     _require_within_max(cfg, [abs(k) for k in ks], "|k|")
     s = _polar(cfg, "asym").s
-    try:
-        limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
-    except QuadratureFailure as exc:
-        print(f"asym: quadrature failed (s={s!r}): {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
     rows, final_gaps, vanishing = [], [], []
     for n, k, xi in itertools.product(n_grid, ks, xis):
         fin = limit_law.asym_integrals(n, k, xi, s)

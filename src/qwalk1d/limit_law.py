@@ -3,30 +3,28 @@
 The limit law on (-s, s) has density t*(1 + lambda*y) / (pi*(1-y^2)*sqrt(s^2-y^2)),
 where lambda depends on the initial spin.  The inverse-square-root edge factor
 is integrable but breaks naive quadrature, so every expectation under the law
-(:func:`cdf`, :func:`limit_char_fn`, :func:`limit_mean`) goes through one
-helper that substitutes y = s*sin(theta), whose integrand is smooth and
-bounded.  The CDF has an elementary antiderivative in theta, which
-:func:`cdf_grid` evaluates in closed form; :func:`cdf` keeps the adaptive
-quadrature as its reference.  Finite-size contour integrals (entries of the
-Chebyshev Gram kernel of :mod:`qwalk1d.cheb_engine`, exact circle means) and
-their closed limits support the convergence experiments.
+(:func:`limit_char_fn`, :func:`limit_mean`) goes through one helper that
+substitutes y = s*sin(theta).  The integrand is then smooth and depends on
+theta only through sin(theta), so the expectation is a mean over the whole
+circle, as are the contour limits of :func:`asym_limits`.  All of them take
+one rule, :func:`qwalk1d.cheb_engine._circle_mean`: trapezoid means on a
+doubling power-of-two node count until two means, scaled as returned, agree
+to 1e-10.  The CDF has an elementary antiderivative in theta, which
+:func:`cdf_grid` evaluates in closed form.  Finite-size contour integrals
+(entries of the Chebyshev Gram kernel of :mod:`qwalk1d.cheb_engine`, exact
+circle means) and their closed limits support the convergence experiments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cheb_engine import _cheb_gram
+from .cheb_engine import _cheb_gram, _circle_mean
 from .coin import CoinMatrix, _check_unit, check_polar
 from .direct_walk import Distribution, _csv_text
-from .errors import DegenerateCoin, ParamViolation, QuadratureFailure
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_QUAD_TOL = 1e-10
-_MAX_PANELS = 4096
+from .errors import DegenerateCoin, ParamViolation
 
 
 @dataclass(frozen=True)
@@ -89,66 +87,28 @@ def density(d: LimitDensity, y) -> float | np.ndarray:
     return val
 
 
-def _gl_panels(f, a: float, b: float, panels: int) -> complex:
-    """Composite 20-point Gauss-Legendre over equal panels of [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(nodes.ravel()).reshape(panels, -1)
-    return complex(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
-
-
-def _adaptive_gl(f, a: float, b: float, tol: float = _QUAD_TOL) -> complex:
-    """Panel-doubling composite Gauss-Legendre to an absolute target.
-
-    Raises
-    ------
-    QuadratureFailure
-        If successive refinements still disagree at the panel cap.
-    """
-    if a == b:
-        return 0j
-    panels = 8
-    prev = _gl_panels(f, a, b, panels)
-    while panels <= _MAX_PANELS:
-        panels *= 2
-        cur = _gl_panels(f, a, b, panels)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"integral on [{a}, {b}] did not stabilize to {tol} within {_MAX_PANELS} panels"
-    )
-
-
-def _expect(d: LimitDensity, g, y_hi: float | None = None) -> complex:
-    """Integral of g(y) against the limit law over (-s, y_hi], default (-s, s).
+def _expect(d: LimitDensity, g, band: float) -> complex:
+    """Integral of g(y) against the limit law on (-s, s).
 
     After y = s*sin(theta) the law is (t/pi) (1 + lam*y) / (1 - y^2) dtheta on
-    [-pi/2, asin(y_hi/s)], smooth and bounded; ``g`` maps an array of y to
-    values.  Adaptive Gauss-Legendre, accurate to 1e-10 absolute.
+    [-pi/2, pi/2], smooth and bounded.  The integrand depends on theta only
+    through sin(theta), which takes the same values on [pi/2, 3pi/2], so the
+    integral is the circle mean of t g(y) (1 + lam*y) / (1 - y^2), accurate
+    to 1e-10 absolute.  ``g`` maps an array of y to values, and ``band`` is
+    the bandwidth at which the circle rule starts.
     """
-    theta_hi = math.pi / 2 if y_hi is None else math.asin(min(y_hi / d.s, 1.0))
 
     def h(theta: np.ndarray) -> np.ndarray:
         y = d.s * np.sin(theta)
-        return d.t / np.pi * g(y) * (1.0 + d.lam * y) / (1.0 - y**2)
+        return d.t * g(y) * (1.0 + d.lam * y) / (1.0 - y**2)
 
-    return _adaptive_gl(h, -math.pi / 2, theta_hi)
-
-
-def cdf(d: LimitDensity, y: float) -> float:
-    """Integral of the density from -s to y by quadrature, accurate to 1e-10 absolute."""
-    if y <= -d.s:
-        return 0.0
-    return _expect(d, np.ones_like, y).real
+    return complex(_circle_mean(h, band))
 
 
 def cdf_grid(d: LimitDensity, ys: np.ndarray) -> np.ndarray:
     """CDF at an ascending grid of points, from its closed form.
 
-    With x = y/s clipped to [-1, 1], the theta integrand of :func:`cdf`,
+    With x = y/s clipped to [-1, 1], the density in theta = asin(y/s),
     t(1 + lam*s*sin)/(pi(1 - s^2 sin^2)), has the antiderivative
     [atan(t tan theta) - lam*atan(s cos theta / t)] / pi, so
 
@@ -171,12 +131,12 @@ def limit_char_fn(d: LimitDensity, xi: float) -> complex:
     """
     if xi == 0.0:
         return 1.0 + 0j
-    return _expect(d, lambda y: np.exp(1j * xi * y))
+    return _expect(d, lambda y: np.exp(1j * xi * y), abs(xi) * d.s)
 
 
 def limit_mean(d: LimitDensity) -> float:
     """First moment of the limit density, by quadrature."""
-    return _expect(d, lambda y: y).real
+    return _expect(d, lambda y: y, 0).real
 
 
 def asym_integrals(n: int, k: int, xi: float, s: float) -> tuple[complex, complex, complex, complex]:
@@ -197,40 +157,30 @@ def asym_integrals(n: int, k: int, xi: float, s: float) -> tuple[complex, comple
 def asym_limits(k: int, xi: float, s: float) -> tuple[complex, complex, complex, complex]:
     """Large-n limits of :func:`asym_integrals`.
 
-    The parity prefactors make (A, D) vanish for odd k and (B, C) for even k;
-    the surviving pair comes from one smooth integral after the edge
-    substitution x = s*sin(theta), with C = -B by construction.
+    After the edge substitution x = s*sin(theta) each limit is
+    (1/2pi) * integral over [-pi/2, pi/2] of i^k e^{-ik theta} F(theta), with
+    stretch(theta) = s cos(theta) / sqrt(1 - x^2) and
+    F = cos(xi stretch) for A, cos(xi stretch) / (1 - x^2) for D and
+    sin(xi stretch) / sqrt(1 - x^2) for C = -B.  F is even in theta and
+    F(pi - theta) = (-1)^k F(theta) for the pair that survives, so each
+    limit is (i^k / 2) mean(cos(k theta) F) over the whole circle.  The
+    parity prefactors make (A, D) exactly 0 for odd k and (B, C) for even k.
     """
     check_polar(s)
-    half_pi = math.pi / 2
-    prefactor = 2.0 / (4.0 * math.pi)
 
-    def base(theta: np.ndarray) -> np.ndarray:
-        return np.exp(1j * k * (half_pi - theta))
+    def rows(theta: np.ndarray) -> np.ndarray:
+        root = np.sqrt(1.0 - (s * np.sin(theta)) ** 2)
+        arg = xi * s * np.cos(theta) / root
+        half_cos = np.cos(k * theta) / 2
+        if k % 2:
+            return half_cos * np.sin(arg) / root
+        a = half_cos * np.cos(arg)
+        return np.array([a, a / root**2])
 
-    def stretch(theta: np.ndarray) -> np.ndarray:
-        # s^2 - x^2 over 1 - x^2 at x = s*sin(theta), square-rooted
-        sn = np.sin(theta)
-        return s * np.cos(theta) / np.sqrt(1.0 - s**2 * sn**2)
-
-    if k % 2 == 0:
-        def f_a(theta):
-            return base(theta) * np.cos(xi * stretch(theta))
-
-        def f_d(theta):
-            sn = np.sin(theta)
-            return base(theta) * np.cos(xi * stretch(theta)) / (1.0 - s**2 * sn**2)
-
-        a_lim = prefactor * _adaptive_gl(f_a, -half_pi, half_pi)
-        d_lim = prefactor * _adaptive_gl(f_d, -half_pi, half_pi)
-        return a_lim, 0j, 0j, d_lim
-
-    def f_bc(theta):
-        sn = np.sin(theta)
-        return base(theta) * np.sin(xi * stretch(theta)) / np.sqrt(1.0 - s**2 * sn**2)
-
-    bc = prefactor * _adaptive_gl(f_bc, -half_pi, half_pi)
-    return 0j, -bc, bc, 0j
+    lim = 1j ** (k % 4) * _circle_mean(rows, abs(k) + abs(xi) * s)
+    if k % 2:
+        return 0j, complex(-lim), complex(lim), 0j
+    return complex(lim[0]), 0j, 0j, complex(lim[1])
 
 
 def kolmogorov_distance(dist: Distribution, d: LimitDensity, n: int) -> float:

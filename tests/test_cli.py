@@ -3,6 +3,8 @@
 import cmath
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,11 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def assert_one_stderr_line(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -174,6 +181,12 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"), "--max-n", "2"])
         assert code == EXIT_BAD_CONFIG
 
+    def test_fail_with_impossible_tol(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", "1e-30"])
+        assert code == EXIT_CHECK_FAILED
+        assert_one_stderr_line(capsys, "simulate: ")
+
     def test_no_temp_files_left(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "out"
@@ -194,12 +207,13 @@ class TestLimit:
         last = table[-1].split(",")
         assert float(last[2]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_fail_with_tiny_pin(self, tmp_path):
+    def test_fail_with_tiny_pin(self, tmp_path, capsys):
         cfg = base_config()
         cfg["tol"]["kolmogorov_pinned"] = 1e-8
         cfg_path = write_config(tmp_path, cfg)
         code = main(["limit", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == EXIT_CHECK_FAILED
+        assert_one_stderr_line(capsys, "limit: ")
 
     def test_degenerate_coin_rejected(self, tmp_path):
         cfg = base_config(coin={"a": [1.0, 0.0], "b": [0.0, 0.0]})
@@ -265,11 +279,12 @@ class TestCharFn:
         for r in zero_rows:
             assert float(r.split(",")[-1]) == 0.0
 
-    def test_fail_with_tiny_pin(self, tmp_path):
+    def test_fail_with_tiny_pin(self, tmp_path, capsys):
         cfg = base_config()
         cfg["tol"]["charfn_pinned"] = 1e-15
         cfg_path = write_config(tmp_path, cfg)
         assert main(["charfn", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+        assert_one_stderr_line(capsys, "charfn: ")
 
 
 class TestAlgebra:
@@ -281,12 +296,13 @@ class TestAlgebra:
         assert "W^2 = -I" in report
         assert max(report.values()) <= 1e-12
 
-    def test_fail_with_impossible_tol(self, tmp_path):
+    def test_fail_with_impossible_tol(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "out"
         code = main(["algebra", "--config", cfg_path, "--out", str(out), "--tol", "1e-20"])
         assert code == EXIT_CHECK_FAILED
         assert (out / "relation_report.json").exists()
+        assert_one_stderr_line(capsys, "algebra: ")
 
     def test_failed_report_has_the_passing_layout(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -329,11 +345,20 @@ class TestAsym:
         # 2 n values x 2 k values x 2 xi values
         assert len(rows) == 1 + 8
 
-    def test_fail_with_tiny_pin(self, tmp_path):
+    def test_fail_with_tiny_pin(self, tmp_path, capsys):
         cfg = base_config()
         cfg["tol"]["asym_pinned"] = 1e-12
         cfg_path = write_config(tmp_path, cfg)
         assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+        assert_one_stderr_line(capsys, "asym: ")
+
+
+@pytest.mark.parametrize("verb, key", [("charfn", "xi_grid"), ("asym", "asym.xis")])
+def test_unreachable_limit_quadrature_is_one_failed_check(tmp_path, capsys, verb, key):
+    # the circle rule would need about 1e300 nodes; it refuses before allocating
+    cfg_path = write_config(tmp_path, replaced(base_config(), key, [1e300]))
+    assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+    assert_one_stderr_line(capsys, "check failed: ")
 
 
 MALFORMED = [
@@ -366,6 +391,9 @@ MALFORMED = [
     # beyond MAX_N: the closed form would ask for about 100 GB at n = 10**9
     ("limit", "max_n", 10**9),
     ("limit", "--max-n", MAX_N + 1),
+    # equal to 1 in Python, but not the integer 1
+    ("simulate", "schema_version", True),
+    ("simulate", "schema_version", 1.0),
     # the config path is a directory
     ("simulate", "<directory>", None),
 ]
@@ -383,8 +411,7 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, verb, key, val
         cfg_path = write_config(tmp_path, replaced(base_config(), key, value))
     argv = [verb, "--config", cfg_path, "--out", str(tmp_path / "o")] + flags
     assert main(argv) == EXIT_BAD_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("invalid config: ")
+    assert_one_stderr_line(capsys, "invalid config: ")
 
 
 json_values = st.recursive(
@@ -455,3 +482,16 @@ class TestAtomicWrite:
         atomic_write(target, "x,y\n3,4\n")
         assert target.read_text() == "x,y\n3,4\n"
         assert not list((tmp_path / "deep").glob("*.tmp"))
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # the mode open(path, "w") gives a new file, not mkstemp's 0o600
+        old = os.umask(umask)
+        try:
+            atomic_write(tmp_path / "file.csv", "x\n")
+            code = main(["limit", "--out", str(tmp_path / "out")])
+        finally:
+            os.umask(old)
+        assert code == EXIT_PASS
+        for path in (tmp_path / "file.csv", *(tmp_path / "out").iterdir()):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path

@@ -2,24 +2,25 @@
 
 Frozen constants were produced once by an independent adaptive quadrature
 (scipy.integrate.quad on the raw y-integrand with endpoint splitting) and
-are asserted here against the package's own panel integrator.
+are asserted here against the package's own circle rule, which 20-digit
+mpmath quadratures also check.
 """
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from qwalk1d.cheb_engine import cheb_T_laurent, cheb_U_laurent
+from qwalk1d.cheb_engine import _MAX_NODES, _circle_mean, cheb_T_laurent, cheb_U_laurent
 from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
 from qwalk1d.direct_walk import distribution, evolve
 from qwalk1d.errors import DegenerateCoin, ParamViolation, QuadratureFailure
 from qwalk1d.limit_law import (
     LimitDensity,
-    _adaptive_gl,
     asym_integrals,
     asym_limits,
-    cdf,
     cdf_grid,
     density,
     density_cdf_csv,
@@ -37,7 +38,7 @@ CHAR_FN_XI1_SYMMETRIC = 0.8583229252324154
 
 
 def theta_oracle(f, num=200_001):
-    """Plain trapezoid on the theta grid, independent of the Gauss panels."""
+    """Plain trapezoid on a fixed half-circle theta grid, independent of the circle rule."""
     theta = np.linspace(-math.pi / 2, math.pi / 2, num)
     return np.trapezoid(f(theta), theta)
 
@@ -120,18 +121,16 @@ class TestDensity:
 class TestCdf:
     def test_left_of_support(self):
         d = LimitDensity(R, R, 0.4)
-        assert cdf(d, -R) == 0.0
-        assert cdf(d, -1.0) == 0.0
+        assert list(cdf_grid(d, np.array([-1.0, -R]))) == [0.0, 0.0]
 
     def test_symmetric_midpoint(self):
         d = LimitDensity(R, R, 0.0)
-        assert cdf(d, 0.0) == pytest.approx(0.5, abs=1e-10)
+        assert cdf_grid(d, np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_total_mass(self):
         for lam in (0.0, 1.0, -0.7):
             d = LimitDensity(R, R, lam)
-            assert cdf(d, d.s) == pytest.approx(1.0, abs=1e-10)
-            assert cdf(d, 1.0) == pytest.approx(1.0, abs=1e-10)
+            assert list(cdf_grid(d, np.array([d.s, 1.0]))) == [1.0, 1.0]
 
     def test_monotone(self):
         d = LimitDensity(0.6, 0.8, 0.9)
@@ -142,9 +141,7 @@ class TestCdf:
     def test_grid_matches_pointwise(self):
         d = LimitDensity(0.6, 0.8, -0.5)
         ys = np.linspace(-0.65, 0.65, 17)
-        grid_vals = cdf_grid(d, ys)
-        for y, v in zip(ys, grid_vals):
-            assert v == pytest.approx(cdf(d, float(y)), abs=1e-10)
+        np.testing.assert_allclose(cdf_grid(d, ys), panel_cdf_grid(d, ys), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("s", [0.3, R, 0.95])
     def test_grid_closed_form_matches_quadrature(self, s):
@@ -155,8 +152,7 @@ class TestCdf:
             d = LimitDensity(s, t, lam)
             vals = cdf_grid(d, ys)
             assert list(vals[:2]) == [0.0, 0.0] and list(vals[-2:]) == [1.0, 1.0]
-            for y, v in zip(ys, vals):
-                assert abs(v - cdf(d, float(y))) < 1e-13
+            assert np.max(np.abs(vals - panel_cdf_grid(d, ys))) < 1e-13
 
     def test_grid_rejects_descending(self):
         d = LimitDensity(0.6, 0.8, 0.0)
@@ -297,6 +293,64 @@ class TestAsymLimits:
             assert sums[1] < sums[0]
 
 
+def mpmath_char_fn(s, lam, xi):
+    """20-digit limit characteristic function, on the half-circle theta = asin(y/s)."""
+    s_ = mpmath.mpf(s)
+
+    def f(th):
+        y = s_ * mpmath.sin(th)
+        return mpmath.expj(xi * y) * (1 + lam * y) / (1 - y * y)
+
+    return complex(mpmath.sqrt(1 - s_ * s_) / mpmath.pi * mpmath.quad(f, [-mpmath.pi / 2, mpmath.pi / 2]))
+
+
+def mpmath_asym_limits(k, xi, s):
+    """20-digit asym limits from their half-circle definition, phase e^{ik(pi/2 - theta)} in full."""
+    s_, hp = mpmath.mpf(s), mpmath.pi / 2
+
+    def integral(weight):
+        def f(th):
+            root = mpmath.sqrt(1 - (s_ * mpmath.sin(th)) ** 2)
+            return mpmath.expj(k * (hp - th)) * weight(xi * s_ * mpmath.cos(th) / root, root)
+
+        return complex(mpmath.quad(f, [-hp, hp]) / (2 * mpmath.pi))
+
+    if k % 2:
+        bc = integral(lambda arg, root: mpmath.sin(arg) / root)
+        return 0j, -bc, bc, 0j
+    a = integral(lambda arg, root: mpmath.cos(arg))
+    return a, 0j, 0j, integral(lambda arg, root: mpmath.cos(arg) / root**2)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("s", [0.3, R, 0.95, 0.99])
+    def test_circle_means_match_mpmath(self, s):
+        t = math.sqrt(1 - s * s)
+        with mpmath.workdps(20):
+            for xi in (0.5, 2.0):
+                for lam in (0.0, 0.7):
+                    got = limit_char_fn(LimitDensity(s, t, lam), xi)
+                    assert abs(got - mpmath_char_fn(s, lam, xi)) < 1e-13, (xi, lam)
+                for k in (0, 1, 2):
+                    ref = mpmath_asym_limits(k, xi, s)
+                    got = asym_limits(k, xi, s)
+                    assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-13, (xi, k)
+
+    def test_converges_near_s_one(self):
+        # values grow like 1/t; the doubling check holds 1e-10 on them as returned
+        s = 0.9999999
+        t = math.sqrt(1 - s * s)
+        d = LimitDensity(s, t, 0.7)
+        assert abs(limit_char_fn(d, 2.0)) <= 1.0
+        assert abs(limit_mean(d) - 0.7 * (1 - t)) < 1e-10  # mean = lam (1 - t)
+        s = 0.99999
+        t = math.sqrt(1 - s * s)
+        a, _, _, d_lim = asym_limits(0, 0.0, s)
+        assert abs(a - 0.5) < 1e-10 and abs(d_lim - 1 / (2 * t)) < 1e-10
+        for k in (1, 2):
+            assert all(cmath.isfinite(v) for v in asym_limits(k, 1.0, s))
+
+
 def panel_cdf_grid(d, ys):
     """CDF on an ascending grid by 20-point Gauss-Legendre panels, segment by segment.
 
@@ -369,8 +423,18 @@ class TestRescaledMean:
 
 class TestQuadratureMachinery:
     def test_failure_on_pathological_integrand(self):
+        # bandwidth about 1e7, far beyond the node cap
         with pytest.raises(QuadratureFailure):
-            _adaptive_gl(lambda theta: np.cos(1e7 * theta), 0.0, 1.0, tol=1e-12)
+            _circle_mean(lambda theta: np.cos(1e7 * np.sin(theta)), 0)
+
+    def test_band_beyond_the_cap_fails_before_evaluating(self):
+        def never(theta):
+            raise AssertionError("integrand evaluated")
+
+        # the smallest band whose starting count reaches the cap, bands far beyond, NaN
+        for band in (_MAX_NODES // 2 - 15, 10**300, math.inf, math.nan):
+            with pytest.raises(QuadratureFailure):
+                _circle_mean(never, band)
 
     def test_csv_table(self):
         d = LimitDensity(R, R, 0.0)

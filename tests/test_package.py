@@ -1,5 +1,10 @@
 """The package's public names."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import qwalk1d
 
 
@@ -22,3 +27,19 @@ def test_test_only_algebra_helpers_are_gone():
         assert name not in qwalk1d.__all__
         assert not hasattr(qwalk1d, name)
         assert not hasattr(qwalk1d.algebra_check, name)
+
+
+def test_second_quadrature_rule_is_gone():
+    # every limit-law integral is a circle mean; the closed-form cdf_grid stays
+    assert "cdf" not in qwalk1d.__all__
+    for name in ("cdf", "_adaptive_gl", "_gl_panels"):
+        assert not hasattr(qwalk1d.limit_law, name)
+    assert not hasattr(qwalk1d, "cdf")
+
+
+def test_import_does_not_load_numpy_polynomial():
+    code = "import sys, qwalk1d; print('numpy.polynomial' in sys.modules)"
+    src = str(Path(qwalk1d.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
