@@ -10,7 +10,10 @@ samples them in trigonometric form and everything else is a circle mean:
 - the coefficients, hence :func:`qn_distribution`, are one real FFT of the
   samples, O(n log n) per n;
 - the characteristic-function components and the contour integrals of
-  :mod:`qwalk1d.limit_law` are entries of one Gram kernel, O(n) per sum;
+  :mod:`qwalk1d.limit_law` are entries of one Gram kernel, batched over
+  shifts and phases: it samples the rows once at theta and once per distinct
+  shift, and reads every phase e^{i k theta} from one table, so a whole grid
+  of sums costs O(n) per distinct shift plus O(n) per (k, shift) pair;
 - :func:`cross_series_quadrature` evaluates two polynomials at the roots of
   unity by one FFT of their coefficients folded onto the nodes.
 
@@ -372,21 +375,44 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
     return coef
 
 
-def _cheb_gram(n: int, s: float, shift: float, k: int = 0) -> np.ndarray:
-    """Circle means g[i, j] = mean(e^{i k theta} r_i(theta) r_j(theta + shift)).
+def _gram_rows(n: int, s: float, theta: np.ndarray) -> np.ndarray:
+    """The rows T_n, U_{n-1} and V = s sin(theta) U_{n-1} at theta, stacked."""
+    tn, um = _cheb_rows(n, s, theta)
+    return np.array([tn, um, s * np.sin(theta) * um])
+
+
+def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
+    """Circle means g[a, b, i, j] = mean(e^{i k_a theta} r_i(theta) r_j(theta + shifts[b])).
 
     The rows are r = (T_n, U_{n-1}, V = s sin(theta) U_{n-1}), with T_n and
-    U_{n-1} from :func:`_cheb_rows`.  Every integrand has bandwidth 2n + |k|,
-    so the circle rule is exact to roundoff.  The result is real for k = 0.
+    U_{n-1} from :func:`_cheb_rows`.  Every integrand has bandwidth at most
+    2n + max|k|, so one circle rule with that bandwidth is exact to roundoff
+    for every (k, shift) pair.  The rows are sampled once at theta and once
+    per distinct non-zero shift; each phase e^{i k theta} is read from one
+    table of e^{i theta} at index k j mod m.  Shifts run in the outer loop
+    and phases in the inner one, so only O(m) arrays are held at a time.
+    The result has shape (len(ks), len(shifts), 3, 3) and is real when
+    every k is 0.
     """
-    theta = _circle(2 * n + abs(k))
-    rows = []
-    for th in (theta, theta + shift):
-        tn, um = _cheb_rows(n, s, th)
-        rows.append(np.array([tn, um, s * np.sin(th) * um]))
-    if k:
-        rows[0] = rows[0] * np.exp(1j * k * theta)
-    return rows[0] @ rows[1].T / theta.size
+    theta = _circle(2 * n + max(map(abs, ks), default=0))
+    m = theta.size
+    rows = _gram_rows(n, s, theta)
+    table = np.exp(1j * theta) if any(ks) else None
+    out = np.empty((len(ks), len(shifts), 3, 3), dtype=float if table is None else complex)
+    columns: dict[float, list[int]] = {}
+    for b, shift in enumerate(shifts):
+        columns.setdefault(shift, []).append(b)
+    for shift, bs in columns.items():
+        other = rows if shift == 0 else _gram_rows(n, s, theta + shift)
+        for a, k in enumerate(ks):
+            if k:
+                # two real products: a complex left factor would make numpy
+                # promote ``other`` to complex and take the slower complex product
+                phase = table[np.arange(m) * k % m]
+                out[a, bs] = ((rows * phase.real) @ other.T + 1j * ((rows * phase.imag) @ other.T)) / m
+            else:
+                out[a, bs] = rows @ other.T / m
+    return out
 
 
 def char_fn_components(
@@ -421,7 +447,7 @@ def char_fn_components(
         raise ValueError(f"n must be non-negative, got {n}")
     if xi == 0.0:
         return (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
-    g = _cheb_gram(n, s, xi)  # rows T, U, V at theta and theta + xi
+    g = _cheb_gram(n, s, [xi])[0, 0]  # rows T, U, V at theta and theta + xi
     w = complex(np.cos(xi), np.sin(xi))
     even = g[0, 0] + g[2, 2]
     odd = 1j * (g[0, 2] - g[2, 0])

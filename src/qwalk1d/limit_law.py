@@ -12,7 +12,9 @@ doubling power-of-two node count until two means, scaled as returned, agree
 to 1e-10.  The CDF has an elementary antiderivative in theta, which
 :func:`cdf_grid` evaluates in closed form.  Finite-size contour integrals
 (entries of the Chebyshev Gram kernel of :mod:`qwalk1d.cheb_engine`, exact
-circle means) and their closed limits support the convergence experiments.
+circle means, a whole (k, xi) grid per n in one batched call by
+:func:`asym_grid`) and their closed limits support the convergence
+experiments.
 """
 
 from __future__ import annotations
@@ -139,19 +141,35 @@ def limit_mean(d: LimitDensity) -> float:
     return _expect(d, lambda y: y, 0).real
 
 
+def asym_grid(n: int, ks, xis, s: float) -> np.ndarray:
+    """The four circle integrals of :func:`asym_integrals` for every (k, xi) pair.
+
+    Returns a complex array of shape (len(ks), len(xis), 4) holding (A, B,
+    C, D) at (ks[a], xis[b]) in entry [a, b].  All pairs are entries of one
+    batched call of the Chebyshev Gram kernel on the circle rule of
+    bandwidth 2n + max|k|, which samples T and U once at theta and once per
+    distinct non-zero shift xi/n, so the sampling costs O(n) per n and per
+    distinct xi rather than per pair.  Since the node count follows the
+    largest |k|, an entry agrees with a lone :func:`asym_integrals` call to
+    roundoff, not bit for bit.
+    """
+    check_polar(s)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    g = _cheb_gram(n, s, [xi / n for xi in xis], ks)
+    return g[..., [0, 1, 0, 1], [0, 0, 1, 1]].astype(complex)
+
+
 def asym_integrals(n: int, k: int, xi: float, s: float) -> tuple[complex, complex, complex, complex]:
     """The four circle integrals pairing shifted and unshifted Chebyshev factors.
 
     With T = T_n, U = U_{n-1} at s*cos(theta), shift d = xi/n and phase
     e^{i k theta}, these are A = mean(phase T(theta+d) T), B = mean(phase T(theta+d) U),
     C = mean(phase U(theta+d) T) and D = mean(phase U(theta+d) U): entries of
-    the Chebyshev Gram kernel, whose circle rule is exact to roundoff.
+    the Chebyshev Gram kernel, whose circle rule is exact to roundoff.  This
+    is the one-entry case of :func:`asym_grid`.
     """
-    check_polar(s)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    g = _cheb_gram(n, s, xi / n, k)
-    return complex(g[0, 0]), complex(g[1, 0]), complex(g[0, 1]), complex(g[1, 1])
+    return tuple(complex(v) for v in asym_grid(n, [k], [xi], s)[0, 0])
 
 
 def asym_limits(k: int, xi: float, s: float) -> tuple[complex, complex, complex, complex]:

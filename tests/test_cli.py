@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line harness: files, exit codes, configs."""
 
 import cmath
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from qwalk1d.cli import (
     load_config,
     main,
 )
-from qwalk1d import cheb_engine, direct_walk, limit_law
+from qwalk1d import cheb_engine, cli, direct_walk, limit_law
 from qwalk1d.coin import CoinMatrix, polar
 from qwalk1d.direct_walk import Distribution
 from qwalk1d.errors import InvalidConfig
@@ -352,6 +353,60 @@ class TestAsym:
         assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
         assert_one_stderr_line(capsys, "asym: ")
 
+    def test_rows_follow_product_order(self, tmp_path):
+        cfg = base_config()
+        cfg["asym"] = {"ks": [2, 0, -1], "xis": [1.0, 0.0, -2.5, 1.0], "n_grid": [3, 40]}
+        out = tmp_path / "out"
+        assert main(["asym", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_PASS
+        rows = [line.split(",")[:3] for line in (out / "asym.csv").read_text().splitlines()[1:]]
+        a = cfg["asym"]
+        expected = itertools.product(a["n_grid"], a["ks"], a["xis"])
+        assert [(int(n), int(k), float(xi)) for n, k, xi in rows] == list(expected)
+
+    def test_samples_rows_once_per_n_and_distinct_shift(self, tmp_path, monkeypatch):
+        calls = []
+        rows = cheb_engine._cheb_rows
+        monkeypatch.setattr(cheb_engine, "_cheb_rows", lambda *a: calls.append(a[0]) or rows(*a))
+        cfg = base_config()
+        cfg["asym"] = {"ks": [0, 1, 2], "xis": [0.0, 1.0, -2.5, 1.0], "n_grid": [50, 100]}
+        assert main(["asym", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_PASS
+        # 2 n values x (theta + 2 distinct non-zero xi); one sampling per
+        # (n, k, xi) entry and side would be 2 x 2 x 3 x 4 = 48
+        assert sorted(calls) == [50] * 3 + [100] * 3
+
+    def test_parity_bound_scales_with_u_squared(self, tmp_path, capsys):
+        # near s = 1 the vanishing entries' roundoff grows with mean(U_{n-1}^2),
+        # 90 to 150 here; against an absolute 1e-10 they failed under any --tol
+        cfg_path = write_config(tmp_path, near_one_coin_config())
+        assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", "100"]) == EXIT_PASS
+        assert capsys.readouterr().err == ""
+
+    def test_parity_violation_fails_at_scaled_bound(self, tmp_path, capsys, monkeypatch):
+        grid_fn = limit_law.asym_grid
+        planted = []
+
+        def planted_grid(n, ks, xis, s):
+            grid = grid_fn(n, ks, xis, s)
+            scale = max(1.0, grid[ks.index(0), xis.index(0.0), 3].real)
+            grid[ks.index(1), xis.index(1.0), 0] = 10 * TOL_DEFAULTS["parity_zero"] * scale
+            planted.append(scale)
+            return grid
+
+        monkeypatch.setattr(limit_law, "asym_grid", planted_grid)
+        cfg_path = write_config(tmp_path, near_one_coin_config())
+        assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", "100"]) == EXIT_CHECK_FAILED
+        assert len(planted) == 4 and min(planted) > 10
+        assert_one_stderr_line(capsys, "asym: parity")
+
+
+def near_one_coin_config():
+    """A real coin at s = 0.99999, where U_{n-1} is large, on the packaged asym grid."""
+    s = 0.99999
+    return base_config(
+        coin={"a": [s, 0.0], "b": [math.sqrt(1.0 - s * s), 0.0]},
+        asym={"ks": [0, 1, 2], "xis": [0.0, 1.0], "n_grid": [200, 500, 1000, 2000]},
+    )
+
 
 @pytest.mark.parametrize("verb, key", [("charfn", "xi_grid"), ("asym", "asym.xis")])
 def test_unreachable_limit_quadrature_is_one_failed_check(tmp_path, capsys, verb, key):
@@ -473,6 +528,23 @@ class TestMainErrors:
         cfg_path = write_config(tmp_path, base_config())
         code = main(["algebra", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", tol])
         assert code == EXIT_BAD_CONFIG
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path):
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["algebra", "--out", str(tmp_path / "o")]) == EXIT_PASS
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_unknown_verb_exits_2(self, capsys):
+        for _ in range(2):  # the cached parser still rejects it on reuse
+            with pytest.raises(SystemExit) as exc:
+                main(["nope"])
+            assert exc.value.code == EXIT_BAD_CONFIG
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 class TestAtomicWrite:

@@ -7,7 +7,9 @@ mpmath quadratures also check.
 """
 
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +21,7 @@ from qwalk1d.direct_walk import distribution, evolve
 from qwalk1d.errors import DegenerateCoin, ParamViolation, QuadratureFailure
 from qwalk1d.limit_law import (
     LimitDensity,
+    asym_grid,
     asym_integrals,
     asym_limits,
     cdf_grid,
@@ -239,20 +242,65 @@ class TestAsymIntegrals:
 
     @pytest.mark.parametrize("s", [0.3, R, 0.95])
     def test_matches_coefficient_sums(self, s):
-        # independent oracle: with a, b the Laurent coefficients of T_n and
-        # U_{n-1}, each circle mean is sum_y p_y q_{-y-k} e^{i y xi/n}
         for n in (1, 2, 7, 60, 300):
             a, b = cheb_T_laurent(n, s), cheb_U_laurent(n - 1, s)
-            ys = np.arange(-n, n + 1)
             for k in (-3, 0, 1, 2, 5):
                 for xi in (0.0, 1.0, -2.5):
-                    phase = np.exp(1j * ys * xi / n)
-                    ref = [
-                        np.sum(np.array([p.c(y) * q.c(-y - k) for y in ys]) * phase)
-                        for p, q in ((a, a), (a, b), (b, a), (b, b))
-                    ]
+                    ref = coefficient_sums(a, b, n, k, xi)
                     got = asym_integrals(n, k, xi, s)
                     assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-12, (n, k, xi)
+
+
+def coefficient_sums(a, b, n, k, xi):
+    """Independent oracle for (A, B, C, D) from the Laurent coefficients a, b of T_n, U_{n-1}.
+
+    Each circle mean is sum_y p_y q_{-y-k} e^{i y xi/n}.
+    """
+    ys = np.arange(-n, n + 1)
+    phase = np.exp(1j * ys * xi / n)
+    return [
+        np.sum(np.array([p.c(y) * q.c(-y - k) for y in ys]) * phase)
+        for p, q in ((a, a), (a, b), (b, a), (b, b))
+    ]
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAsymGrid:
+    KS = (-3, 0, 1, 2, 5, 7)
+    XIS = (0.0, 1.0, -2.5, 1.0)  # the repeated xi shares its sampled rows
+
+    @pytest.mark.parametrize("s", [0.3, R, 0.95])
+    def test_matches_coefficient_sums_in_one_call(self, s):
+        for n in (1, 2, 7, 60, 300):
+            a, b = cheb_T_laurent(n, s), cheb_U_laurent(n - 1, s)
+            grid = asym_grid(n, self.KS, self.XIS, s)
+            assert grid.shape == (len(self.KS), len(self.XIS), 4)
+            for (i, k), (j, xi) in itertools.product(enumerate(self.KS), enumerate(self.XIS)):
+                ref = coefficient_sums(a, b, n, k, xi)
+                assert np.max(np.abs(grid[i, j] - ref)) < 1e-12, (n, k, xi)
+                lone = asym_integrals(n, k, xi, s)
+                assert np.max(np.abs(grid[i, j] - lone)) < 1e-13, (n, k, xi)
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError):
+            asym_grid(0, [0], [0.0], R)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # shifts outside, phases inside: one (k, xi) block at a time, never a
+        # len(ks) x m or len(xis) x m block (41 phases here would be ~26 MB)
+        xis = [0.25 * i for i in range(10)]
+        batched = traced_peak(lambda: asym_grid(20000, range(-20, 21), xis, R))
+        single = traced_peak(lambda: asym_integrals(20000, 1, 1.0, R))
+        assert batched < 2 * single, (batched, single)
 
 
 class TestAsymLimits:
