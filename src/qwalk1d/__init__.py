@@ -13,8 +13,6 @@ from .cheb_engine import (
     LaurentPoly,
     TransferQuadruple,
     char_fn_components,
-    cheb_T_laurent,
-    cheb_U_laurent,
     cross_series,
     cross_series_quadrature,
     qn_distribution,
@@ -91,8 +89,6 @@ __all__ = [
     "distribution_to_csv",
     "LaurentPoly",
     "TransferQuadruple",
-    "cheb_T_laurent",
-    "cheb_U_laurent",
     "transfer_polys",
     "qn_distribution",
     "cross_series",

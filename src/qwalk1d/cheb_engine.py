@@ -7,8 +7,8 @@ circle z = e^{i theta} these are T_n = cos(n phi) and U_{n-1} =
 sin(n phi) / sin(phi) with cos(phi) = s cos(theta), so one row builder
 samples them in trigonometric form and everything else is a circle mean:
 
-- the coefficients, hence :func:`qn_distribution`, are one real FFT of the
-  samples, O(n log n) per n;
+- the coefficients, hence :func:`transfer_polys` and :func:`qn_distribution`,
+  are one real FFT of the samples, O(n log n) per n;
 - the characteristic-function components and the contour integrals of
   :mod:`qwalk1d.limit_law` are entries of one Gram kernel, batched over
   shifts and phases: it samples the rows once at theta and once per distinct
@@ -21,11 +21,10 @@ Every circle mean takes its nodes from one trapezoid rule, sized by the
 integrand's trigonometric bandwidth (rounded up to a power of two for the
 coefficient FFT); an integrand of unbounded bandwidth, such as the limit-law
 integrals of :mod:`qwalk1d.limit_law`, doubles a power-of-two node count
-until successive means agree (:func:`_circle_mean`).  The three-term
-recurrence in coefficient space (:func:`transfer_polys`, O(n^2)) stays as
-the coefficient oracle; the
-textbook binomial sums blow up for large n and live only in the test suite
-as a cross-check.
+until successive means agree (:func:`_circle_mean`).  The O(n^2) three-term
+recurrence in coefficient space and the textbook binomial sums (which blow
+up for large n) live only in the test suite, as oracles for the FFT
+coefficients.
 
 Exponent convention: ``c_x`` multiplies z**x with x increasing to the right,
 matching the lattice-site indexing of :mod:`qwalk1d.direct_walk`.
@@ -98,68 +97,23 @@ class TransferQuadruple:
         return self.p1.hi
 
 
-def _recurrence(seed1: np.ndarray, count: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Run p_{k+1} = s*(z + 1/z)*p_k - p_{k-1} from p_0 = 1 up to p_count.
-
-    ``seed1`` is p_1 centered on [-1, 1]; its first axis is the exponent, and
-    a second axis stacks polynomials that share s, so one pass of numpy calls
-    advances all of them.  Returns (p_{count-1}, p_count), both on the dense
-    grid [-count, count] with the shape of ``seed1`` otherwise; count must be
-    at least 1.  The symmetric update keeps each polynomial exactly
-    palindromic, bit for bit.
-    """
-    # two zero-padded buffers on [-count-1, count+1], exponent-major so that
-    # every update is one contiguous slice; exponent 0 sits at slot c
-    c = count + 1
-    r = seed1[0].size
-    prev = np.zeros((2 * c + 1) * r)
-    curr = np.zeros_like(prev)
-    prev[c * r:(c + 1) * r] = 1.0
-    curr[(c - 1) * r:(c + 2) * r] = seed1.ravel()
-    for k in range(1, count):
-        # p_{k+1} lives on [-(k+1), k+1] and overwrites p_{k-1} in place
-        lo, hi = (c - k - 1) * r, (c + k + 2) * r
-        sc = s * curr[lo - r:hi + r]
-        out = prev[lo:hi]
-        np.subtract(sc[:-2 * r] + sc[2 * r:], out, out=out)
-        prev, curr = curr, prev
-    shape = (2 * c + 1,) + seed1.shape[1:]
-    return prev.reshape(shape)[1:-1], curr.reshape(shape)[1:-1]
-
-
-def cheb_T_laurent(n: int, s: float) -> LaurentPoly:
-    """Coefficients of the degree-n first-kind Chebyshev polynomial at s*(z+1/z)/2."""
-    check_polar(s)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n == 0:
-        return LaurentPoly(lo=0, coeffs=np.array([1.0]))
-    # T_1 = s*(z + 1/z)/2
-    return LaurentPoly(lo=-n, coeffs=_recurrence(np.array([s / 2, 0.0, s / 2]), n, s)[1])
-
-
-def cheb_U_laurent(m: int, s: float) -> LaurentPoly:
-    """Coefficients of the degree-m second-kind Chebyshev polynomial at s*(z+1/z)/2.
-
-    m = -1 is the zero polynomial by convention (needed for the 0-step case).
-    """
-    check_polar(s)
-    if m < -1:
-        raise ValueError(f"m must be >= -1, got {m}")
-    if m <= 0:
-        return LaurentPoly(lo=0, coeffs=np.array([float(m + 1)]))
-    # U_1 = s*(z + 1/z)
-    return LaurentPoly(lo=-m, coeffs=_recurrence(np.array([s, 0.0, s]), m, s)[1])
-
-
 def _columns(tn: np.ndarray, um: np.ndarray, s: float, t: float) -> tuple[np.ndarray, ...]:
-    """Coefficients of p1, p2, q1, q2 from those of T_n and U_{n-1} on [-n, n]."""
+    """Coefficients of p1, p2, q1, q2 from those of T_n and U_{n-1} on [-n, n].
+
+    For n > 0, p1 at -n and q2 at n lie outside their columns' support and
+    are set to exactly 0, so with the parity zeros every site the walk cannot
+    reach has probability exactly 0.
+    """
     z_um = np.zeros_like(um)
     z_um[1:] = um[:-1]          # z * U
     zinv_um = np.zeros_like(um)
     zinv_um[:-1] = um[1:]       # (1/z) * U
     odd = (s / 2) * (z_um - zinv_um)
-    return tn + odd, t * z_um, -t * zinv_um, tn - odd
+    p1, q2 = tn + odd, tn - odd
+    if tn.size > 1:
+        # the first column lives on [2 - n, n] and the second on [-n, n - 2]
+        p1[0] = q2[-1] = 0.0
+    return p1, t * z_um, -t * zinv_um, q2
 
 
 def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
@@ -170,23 +124,20 @@ def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
         p1 = T + (s/2)(z - 1/z) U      q1 = -t (1/z) U
         p2 = t z U                     q2 = T - (s/2)(z - 1/z) U
 
+    The coefficients come from :func:`_cheb_coeffs` in O(n log n).
+
     Raises
     ------
     ParamViolation
         If s^2 + t^2 differs from 1 by more than 1e-10, or s, t are not
         strictly inside (0, 1).
+    ValueError
+        If n is negative.
     """
     check_polar(s, t)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n == 0:
-        tn, um = np.array([1.0]), np.array([0.0])
-    else:
-        # T_n and U_{n-1} in one pass: the rows advance T_1 and U_1 together,
-        # and U_{n-1} is the U row one step behind the last
-        prev, curr = _recurrence(np.array([[s / 2, s], [0.0, 0.0], [s / 2, s]]), n, s)
-        tn, um = curr[:, 0], prev[:, 1]
-    return TransferQuadruple(*(LaurentPoly(-n, c) for c in _columns(tn, um, s, t)))
+    return TransferQuadruple(*(LaurentPoly(-n, c) for c in _columns(*_cheb_coeffs(n, s), s, t)))
 
 
 def _node_count(band: int, nodes: int | None = None) -> int:
@@ -264,8 +215,9 @@ def _cheb_coeffs(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     power of two above 2n: the m-node trapezoid rule is exact for bandwidth
     n < m / 2, and both are even in theta, so the coefficients are real and
     palindromic.  Coefficients of the wrong parity (T_n has the parity of n,
-    U_{n-1} that of n - 1) are set to exactly 0.  Cost is O(n log n);
-    :func:`transfer_polys` keeps the O(n^2) recurrence as the oracle.
+    U_{n-1} that of n - 1) are set to exactly 0.  Cost is O(n log n).  This
+    is the package's only source of these coefficients; the tests check it
+    against the three-term recurrence in coefficient space.
     """
     theta = _circle(2 * n, 1 << (2 * n).bit_length())
     # coefficients of z^0 .. z^n
@@ -279,10 +231,9 @@ def _cheb_coeffs(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
 def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution:
     """Walk distribution after n steps from spin psi, via the closed form.
 
-    The columns are built from the FFT coefficients of :func:`_cheb_coeffs`
-    in O(n log n).  p1 at -n and q2 at n lie outside their columns' support
-    and are set to exactly 0, so with the parity zeros every site the walk
-    cannot reach has probability exactly 0.
+    The columns are built by :func:`_columns` from the FFT coefficients of
+    :func:`_cheb_coeffs` in O(n log n), so every site the walk cannot reach
+    has probability exactly 0.
 
     The quadratic form in the four coefficient columns is grouped as two
     squared moduli, |psi_1 c(p1) + psi_2 c(q1)|^2 + |psi_1 c(p2) + psi_2 c(q2)|^2,
@@ -304,9 +255,6 @@ def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     p1, p2, q1, q2 = _columns(*_cheb_coeffs(n, s), s, t)
-    if n:
-        # the first column lives on [2 - n, n] and the second on [-n, n - 2]
-        p1[0] = q2[-1] = 0.0
     a1 = psi[0] * p1 + psi[1] * q1
     a2 = psi[0] * p2 + psi[1] * q2
     probs = np.abs(a1) ** 2 + np.abs(a2) ** 2
@@ -403,7 +351,8 @@ def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
     for b, shift in enumerate(shifts):
         columns.setdefault(shift, []).append(b)
     for shift, bs in columns.items():
-        other = rows if shift == 0 else _gram_rows(n, s, theta + shift)
+        # a copy at shift 0: numpy takes rows @ rows.T by a slower A A^T path
+        other = rows.copy() if shift == 0 else _gram_rows(n, s, theta + shift)
         for a, k in enumerate(ks):
             if k:
                 # two real products: a complex left factor would make numpy

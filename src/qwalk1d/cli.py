@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -220,21 +219,20 @@ def _require_within_max(cfg: ExperimentConfig, ns: list[int], what: str = "n") -
 def atomic_write(path: Path, text: str) -> None:
     """Write via a temp file in the same directory plus rename.
 
-    The file gets the mode a new file from ``open(path, "w")`` would get,
-    0o666 less the umask; ``mkstemp`` alone would leave it 0o600.
+    The temp file is opened with mode 0o666 and the kernel applies the
+    umask, so the file gets the mode a new file from ``open(path, "w")``
+    would get.  The process umask is never changed, not even for a moment,
+    so concurrent writers in other threads are unaffected.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

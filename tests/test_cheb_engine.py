@@ -3,9 +3,11 @@
 Independent oracles appear here: a dict-based Laurent arithmetic that
 expands the explicit binomial sums for the Chebyshev polynomials (slow and
 precision-losing, which is why it is the cross-check and not the engine),
-the coefficient-space recurrence of ``transfer_polys`` for the FFT
-coefficients, 30-digit trapezoid sums in mpmath where the recurrence is too
-slow, and the direct-evolution walk from qwalk1d.direct_walk.
+the coefficient-space recurrence of ``coeff_oracle`` for the FFT
+coefficients (the package has no other coefficient path, so a reference
+built from ``transfer_polys`` would compare the FFT with itself), 30-digit
+trapezoid sums in mpmath where the recurrence is too slow, and the
+direct-evolution walk from qwalk1d.direct_walk.
 """
 
 import math
@@ -14,14 +16,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from coeff_oracle import cheb_T_laurent, cheb_U_laurent, recurrence_quadruple
 from qwalk1d import cheb_engine
 from qwalk1d.cheb_engine import (
     LaurentPoly,
     _cheb_coeffs,
-    _columns,
     char_fn_components,
-    cheb_T_laurent,
-    cheb_U_laurent,
     cross_series,
     cross_series_quadrature,
     qn_distribution,
@@ -137,6 +137,25 @@ class TestChebLaurent:
         with pytest.raises(ParamViolation):
             cheb_U_laurent(3, 0.0)
 
+    @pytest.mark.parametrize("s", [0.3, R, 0.9])
+    def test_stacked_pass_matches_single_polynomials_bit_for_bit(self, s):
+        # the oracle's quadruple advances T and U in one pass; the coefficients
+        # must equal the one-polynomial recurrences exactly, not just to rounding
+        t = math.sqrt(1.0 - s * s)
+        for n in list(range(8)) + [63, 200]:
+            quad = recurrence_quadruple(n, s, t)
+            tn = cheb_T_laurent(n, s).coeffs
+            um = np.zeros(2 * n + 1)
+            if n > 0:
+                um[1:-1] = cheb_U_laurent(n - 1, s).coeffs
+            z_um = np.concatenate([[0.0], um[:-1]])
+            zinv_um = np.concatenate([um[1:], [0.0]])
+            odd = (s / 2) * (z_um - zinv_um)
+            assert np.array_equal(quad.p1.coeffs, tn + odd)
+            assert np.array_equal(quad.q2.coeffs, tn - odd)
+            assert np.array_equal(quad.p2.coeffs, t * z_um)
+            assert np.array_equal(quad.q1.coeffs, -t * zinv_um)
+
 
 class TestTransferPolys:
     def test_n1(self):
@@ -159,6 +178,28 @@ class TestTransferPolys:
         with pytest.raises(ParamViolation):
             transfer_polys(3, 0.6, 0.7)
 
+    @pytest.mark.parametrize("s", [0.3, R, 0.9])
+    def test_stacked_pass_matches_single_polynomials_bit_for_bit(self, s):
+        # transfer_polys builds all four columns from one stacked FFT of T_n
+        # and U_{n-1}; the columns must equal the column formulas applied to
+        # those two polynomials exactly, not just to rounding, with p1 at -n
+        # and q2 at n set to exactly 0
+        t = math.sqrt(1.0 - s * s)
+        for n in list(range(8)) + [63, 200]:
+            quad = transfer_polys(n, s, t)
+            tn, um = _cheb_coeffs(n, s)
+            z_um = np.concatenate([[0.0], um[:-1]])
+            zinv_um = np.concatenate([um[1:], [0.0]])
+            odd = (s / 2) * (z_um - zinv_um)
+            p1, q2 = tn + odd, tn - odd
+            if n > 0:
+                assert quad.p1.coeffs[0] == 0.0 and quad.q2.coeffs[-1] == 0.0
+                p1[0] = q2[-1] = 0.0
+            assert np.array_equal(quad.p1.coeffs, p1)
+            assert np.array_equal(quad.q2.coeffs, q2)
+            assert np.array_equal(quad.p2.coeffs, t * z_um)
+            assert np.array_equal(quad.q1.coeffs, -t * zinv_um)
+
     def test_column_mass(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
@@ -171,25 +212,6 @@ class TestTransferPolys:
                 assert abs(mass_p - 1.0) < 1e-12
                 assert abs(mass_q - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("s", [0.3, R, 0.9])
-    def test_stacked_pass_matches_single_polynomials_bit_for_bit(self, s):
-        # transfer_polys advances T and U in one pass; the coefficients must
-        # equal the one-polynomial recurrences exactly, not just to rounding
-        t = math.sqrt(1.0 - s * s)
-        for n in list(range(8)) + [63, 200]:
-            quad = transfer_polys(n, s, t)
-            tn = cheb_T_laurent(n, s).coeffs
-            um = np.zeros(2 * n + 1)
-            if n > 0:
-                um[1:-1] = cheb_U_laurent(n - 1, s).coeffs
-            z_um = np.concatenate([[0.0], um[:-1]])
-            zinv_um = np.concatenate([um[1:], [0.0]])
-            odd = (s / 2) * (z_um - zinv_um)
-            assert np.array_equal(quad.p1.coeffs, tn + odd)
-            assert np.array_equal(quad.q2.coeffs, tn - odd)
-            assert np.array_equal(quad.p2.coeffs, t * z_um)
-            assert np.array_equal(quad.q1.coeffs, -t * zinv_um)
-
     def test_parity_zeros_exact(self):
         quad = transfer_polys(9, 0.6, 0.8)
         for poly in (quad.p1, quad.p2, quad.q1, quad.q2):
@@ -199,9 +221,37 @@ class TestTransferPolys:
 
     def test_mirror_relation(self):
         # coefficients of q1 are the negated reversal of p2
-        for n in (1, 6, 21):
+        for n in (0, 1, 6, 21, 1000, 10**4):
             quad = transfer_polys(n, 0.6, 0.8)
             assert np.array_equal(quad.q1.coeffs, -quad.p2.coeffs[::-1])
+
+    @pytest.mark.parametrize(
+        "n, s, t, error",
+        [
+            (3, 0.6, 0.8, AssertionError),
+            (3, 1.5, 0.2, ParamViolation),
+            (3, math.nan, 0.8, ParamViolation),
+            (3, 0.6, 0.7, ParamViolation),
+            (-3, 0.6, 0.8, ValueError),
+        ],
+    )
+    def test_reads_fft_coefficients_after_validating(self, n, s, t, error, monkeypatch):
+        # valid parameters reach the FFT coefficients; invalid ones never do
+        def boom(*args):
+            raise AssertionError("reads _cheb_coeffs")
+
+        monkeypatch.setattr(cheb_engine, "_cheb_coeffs", boom)
+        with pytest.raises(error):
+            transfer_polys(n, s, t)
+
+    @pytest.mark.parametrize("s", [0.3, R, 0.95])
+    def test_unreachable_edges_are_exact_zero(self, s):
+        # the first column lives on [2 - n, n] and the second on [-n, n - 2];
+        # at n = 10^4, s = sqrt(1/2) the recurrence leaves 5e-324 on both edges
+        t = math.sqrt(1 - s * s)
+        for n in list(range(1, 101)) + [1000, 10**4]:
+            quad = transfer_polys(n, s, t)
+            assert quad.p1.c(-n) == 0.0 and quad.q2.c(n) == 0.0
 
 
 class TestQnDistribution:
@@ -237,7 +287,7 @@ class TestQnDistribution:
             psi /= np.linalg.norm(psi)
             n = int(rng.integers(1, 30))
             d = qn_distribution(psi, n, s, t)
-            quad = transfer_polys(n, s, t)
+            quad = recurrence_quadruple(n, s, t)
             w1, w2 = abs(psi[0]) ** 2, abs(psi[1]) ** 2
             cross = 2.0 * (psi[0] * psi[1].conjugate()).real
             expanded = (
@@ -302,12 +352,13 @@ class TestFftCoefficients:
     @pytest.mark.parametrize("s", [0.3, R, 0.95])
     def test_match_recurrence_at_large_n(self, s):
         t = math.sqrt(1 - s * s)
-        for n in (0, 1, 2, 3, 10, 10**4):
+        for n in list(range(101)) + [1000, 10**4]:
             quad = transfer_polys(n, s, t)
-            cols = _columns(*_cheb_coeffs(n, s), s, t)
-            for got, ref in zip(cols, (quad.p1, quad.p2, quad.q1, quad.q2)):
-                assert got.shape == ref.coeffs.shape
-                assert np.max(np.abs(got - ref.coeffs)) < 1e-12
+            ref = recurrence_quadruple(n, s, t)
+            for got, want in zip((quad.p1, quad.p2, quad.q1, quad.q2), (ref.p1, ref.p2, ref.q1, ref.q2)):
+                assert got.lo == want.lo == -n and got.coeffs.shape == want.coeffs.shape
+                assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-12
+                assert np.all(got.coeffs[1::2] == 0.0)  # parity zeros are exact
 
     def test_parity_zeros_exact(self):
         for n in (0, 1, 2, 9, 100, 1001):
@@ -451,7 +502,7 @@ class TestCharFnComponents:
         t = math.sqrt(1 - s * s)
         psi = np.array([0.6, 0.48 + 0.64j])
         for n in (1, 2, 5, 60, 2000, 6000):
-            quad = transfer_polys(n, s, t)
+            quad = recurrence_quadruple(n, s, t)
             for xi in (0.5 / n, -0.5 / n, 2 / n, math.pi):
                 got = char_fn_components(psi, n, s, t, xi)
                 ref = coefficient_sums(quad, psi, xi)

@@ -567,3 +567,22 @@ class TestAtomicWrite:
         assert code == EXIT_PASS
         for path in (tmp_path / "file.csv", *(tmp_path / "out").iterdir()):
             assert stat.S_IMODE(path.stat().st_mode) == mode, path
+
+    def test_never_touches_the_process_umask(self, tmp_path, monkeypatch):
+        # setting the umask, even for a moment, would change the mode of files
+        # that other threads create in that window
+        def boom(*args):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", boom)
+        atomic_write(tmp_path / "file.csv", "x\n")
+        assert (tmp_path / "file.csv").read_text() == "x\n"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def boom(*args):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", boom)
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write(tmp_path / "file.csv", "x\n")
+        assert not list(tmp_path.iterdir())

@@ -15,7 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from qwalk1d.cheb_engine import _MAX_NODES, _circle_mean, cheb_T_laurent, cheb_U_laurent
+from coeff_oracle import cheb_T_laurent, cheb_U_laurent
+from qwalk1d.cheb_engine import _MAX_NODES, _circle_mean
 from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
 from qwalk1d.direct_walk import distribution, evolve
 from qwalk1d.errors import DegenerateCoin, ParamViolation, QuadratureFailure

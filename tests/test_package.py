@@ -37,6 +37,14 @@ def test_second_quadrature_rule_is_gone():
     assert not hasattr(qwalk1d, "cdf")
 
 
+def test_coefficient_recurrence_is_gone():
+    # the FFT is the package's one coefficient path; the recurrence is the tests' oracle
+    for name in ("_recurrence", "cheb_T_laurent", "cheb_U_laurent"):
+        assert name not in qwalk1d.__all__
+        assert not hasattr(qwalk1d, name)
+        assert not hasattr(qwalk1d.cheb_engine, name)
+
+
 def test_import_does_not_load_numpy_polynomial():
     code = "import sys, qwalk1d; print('numpy.polynomial' in sys.modules)"
     src = str(Path(qwalk1d.__file__).resolve().parent.parent)
