@@ -15,7 +15,8 @@ samples them in trigonometric form and everything else is a circle mean:
   shift, and reads every phase e^{i k theta} from one table, so a whole grid
   of sums costs O(n) per distinct shift plus O(n) per (k, shift) pair;
 - :func:`cross_series_quadrature` evaluates two polynomials at the roots of
-  unity by one FFT of their coefficients folded onto the nodes.
+  unity from one buffer holding both coefficient rows: one fold onto the
+  nodes and one FFT per call.
 
 Every circle mean takes its nodes from one trapezoid rule, sized by the
 integrand's trigonometric bandwidth (rounded up to a power of two for the
@@ -261,29 +262,25 @@ def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution
     return Distribution(offset=-n, probs=probs)
 
 
-def _fold(coeffs: np.ndarray, lo: int, m: int) -> np.ndarray:
-    """Sum coeffs[i], the coefficient of z**(lo + i), into slot (lo + i) mod m."""
-    k = lo % m
-    out = np.zeros(-(-(k + coeffs.size) // m) * m, dtype=coeffs.dtype)
-    out[k:k + coeffs.size] = coeffs
-    return out.reshape(-1, m).sum(axis=0)
-
-
 def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None = None) -> complex:
     """Trapezoid value of the contour integral of p(w z) q(1/z) dz/(2 pi i z).
 
     The integrand's exponents span p.lo - q.hi .. p.hi - q.lo, so the default
     circle rule is exact to roundoff; ``nodes`` < 1 raises ValueError.  Both
-    factors are evaluated at the m roots of unity by one FFT of their
-    coefficients folded mod m, which gives exactly the polynomials' values
-    at those nodes, so a node count below the degree aliases as it would
-    with pointwise evaluation.
+    factors go into one zeroed two-row buffer whose length is a multiple of
+    the node count m, each coefficient at the slot of its exponent mod m; one
+    fold of both rows onto m slots and one FFT give exactly the polynomials'
+    values at the m roots of unity, so a node count below the degree aliases
+    as it would with pointwise evaluation.
     """
     m = _node_count(max(abs(p.lo - q.hi), abs(p.hi - q.lo)), nodes)
-    # p(w z_j) = sum_x c_x w^x e^{+2 pi i j x / m}: fold p reversed, at exponent -x
-    pw = (p.coeffs * complex(w) ** np.arange(p.lo, p.hi + 1))[::-1]
-    vals = np.fft.fft(np.array([_fold(pw, -p.hi, m), _fold(q.coeffs, q.lo, m)]))
-    return complex(np.mean(vals[0] * vals[1]))
+    # p(w z_j) = sum_x c_x w^x e^{+2 pi i j x / m}: place p reversed, at exponent -x
+    i, k = -p.hi % m, q.lo % m
+    buf = np.zeros((2, -(-max(i + p.coeffs.size, k + q.coeffs.size) // m) * m), dtype=complex)
+    buf[0, i:i + p.coeffs.size] = (p.coeffs * complex(w) ** np.arange(p.lo, p.hi + 1))[::-1]
+    buf[1, k:k + q.coeffs.size] = q.coeffs
+    vals = np.fft.fft(buf.reshape(2, -1, m).sum(axis=1))
+    return complex(vals[0] @ vals[1]) / m
 
 
 def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None = None) -> complex:
@@ -313,7 +310,7 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
         xs = np.arange(lo, hi + 1)
         cp = p.coeffs[lo - p.lo: hi - p.lo + 1]
         cq = q.coeffs[lo - q.lo: hi - q.lo + 1]
-        coef = complex(np.sum(cp * cq * w ** xs))
+        coef = complex((cp * cq) @ w ** xs)
     quad = cross_series_quadrature(p, q, w, nodes)
     if not abs(coef - quad) <= CROSS_CHECK_TOL:
         raise QuadratureDivergence(

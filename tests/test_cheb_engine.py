@@ -464,9 +464,33 @@ class TestCrossSeries:
             cross_series_quadrature(quad.p1, quad.p1, 1.0, nodes=nodes)
 
     def test_nan_coefficient_fails_the_check(self):
-        p = LaurentPoly(lo=-1, coeffs=np.array([1.0, math.nan, 1.0]))
+        nan = LaurentPoly(lo=-1, coeffs=np.array([1.0, math.nan, 1.0]))
+        finite = LaurentPoly(lo=-1, coeffs=np.array([1.0, 0.5, 1.0]))
+        w = complex(np.exp(0.3j))
+        # a NaN in both factors, in p only and in q only
+        for p, q, x in [(nan, nan, 1.0), (nan, finite, w), (finite, nan, w)]:
+            with pytest.raises(QuadratureDivergence):
+                cross_series(p, q, x)
+
+    def test_nan_outside_the_overlap_fails_the_check(self):
+        # only the quadrature side sees p's NaN at z**-2: the coefficient side is finite
+        p = LaurentPoly(lo=-2, coeffs=np.array([math.nan, 1.0, 0.5, 1.0]))
+        q = LaurentPoly(lo=-1, coeffs=np.array([1.0, 2.0, 1.0]))
+        w = complex(np.exp(0.3j))
+        assert math.isfinite(abs(sum(p.c(x) * q.c(x) * w ** x for x in range(-1, 2))))
+        assert np.isnan(cross_series_quadrature(p, q, w))
         with pytest.raises(QuadratureDivergence):
-            cross_series(p, p, 1.0)
+            cross_series(p, q, w)
+
+    def test_coefficient_side_matches_plain_sum(self):
+        # random supports: negative lo, partial overlap, nesting and disjoint ranges
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            p = LaurentPoly(lo=int(rng.integers(-30, 10)), coeffs=rng.normal(size=int(rng.integers(1, 40))))
+            q = LaurentPoly(lo=int(rng.integers(-30, 10)), coeffs=rng.normal(size=int(rng.integers(1, 40))))
+            w = complex(np.exp(2j * np.pi * rng.random()))
+            ref = sum(p.c(x) * q.c(x) * w ** x for x in range(min(p.lo, q.lo), max(p.hi, q.hi) + 1))
+            assert abs(cross_series(p, q, w) - ref) < 1e-14
 
     @pytest.mark.parametrize("nodes", [None, 1, 2, 3, 7, 24, 25, 100])
     def test_folded_fft_matches_pointwise_evaluation(self, nodes):

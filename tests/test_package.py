@@ -45,6 +45,11 @@ def test_coefficient_recurrence_is_gone():
         assert not hasattr(qwalk1d.cheb_engine, name)
 
 
+def test_fold_helper_is_gone():
+    # the quadrature side folds both factors in one buffer; the tests' Horner sum is its oracle
+    assert not hasattr(qwalk1d.cheb_engine, "_fold")
+
+
 def test_import_does_not_load_numpy_polynomial():
     code = "import sys, qwalk1d; print('numpy.polynomial' in sys.modules)"
     src = str(Path(qwalk1d.__file__).resolve().parent.parent)
