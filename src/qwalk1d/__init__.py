@@ -24,7 +24,6 @@ from .coin import (
     check_polar,
     hadamard_coin,
     make_coin,
-    phi_from_psi,
     polar,
     psi_from_phi,
     split,
@@ -32,13 +31,11 @@ from .coin import (
 from .direct_walk import (
     Distribution,
     WalkState,
-    char_fn,
     distribution,
     distribution_to_csv,
     evolve,
     evolve_snapshots,
     initial_state,
-    step,
 )
 from .errors import (
     DegenerateCoin,
@@ -63,7 +60,6 @@ from .limit_law import (
     lambda_phi,
     lambda_psi,
     limit_char_fn,
-    limit_mean,
 )
 
 __version__ = "0.1.0"
@@ -76,16 +72,13 @@ __all__ = [
     "polar",
     "check_polar",
     "psi_from_phi",
-    "phi_from_psi",
     "hadamard_coin",
     "WalkState",
     "Distribution",
     "initial_state",
-    "step",
     "evolve",
     "evolve_snapshots",
     "distribution",
-    "char_fn",
     "distribution_to_csv",
     "LaurentPoly",
     "TransferQuadruple",
@@ -104,7 +97,6 @@ __all__ = [
     "density",
     "cdf_grid",
     "limit_char_fn",
-    "limit_mean",
     "asym_integrals",
     "asym_limits",
     "kolmogorov_distance",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import check_polar, make_coin, split
+from .coin import INPUT_NORM_TOL, check_polar, make_coin, split
 from .errors import ParamViolation, RelationFailure
 
 _INV_SQRT2 = math.sqrt(0.5)
@@ -84,7 +84,7 @@ def build_rep(N: int, alpha: complex, beta: complex) -> CyclicRep:
     alpha = complex(alpha)
     beta = complex(beta)
     for name, val in (("alpha", alpha), ("beta", beta)):
-        if not abs(abs(val) - 1.0) <= 1e-10:
+        if not abs(abs(val) - 1.0) <= INPUT_NORM_TOL:
             raise ParamViolation(f"{name} must have unit modulus, got |{name}| = {abs(val)!r}")
     v = _walk_symbol(*split(make_coin(alpha, 0.0)), N)
     w = _walk_symbol(*split(make_coin(0.0, beta)), N)

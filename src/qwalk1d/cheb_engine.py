@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import _check_unit, check_polar
+from .coin import INPUT_NORM_TOL, _check_unit, check_polar
 from .direct_walk import Distribution
 from .errors import ParamViolation, QuadratureDivergence, QuadratureFailure
 
@@ -300,7 +300,7 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
         count too small for the polynomial degree, or a NaN coefficient).
     """
     w = complex(w)
-    if not abs(abs(w) - 1.0) <= 1e-10:
+    if not abs(abs(w) - 1.0) <= INPUT_NORM_TOL:
         raise ParamViolation(f"w must lie on the unit circle, got |w| = {abs(w)!r}")
     lo = max(p.lo, q.lo)
     hi = min(p.hi, q.hi)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cheb_engine, direct_walk, limit_law
 from .algebra_check import RelationReport, build_rep, verify_relations
-from .coin import CoinMatrix, PolarParams, _check_unit, check_polar, make_coin, polar, psi_from_phi
+from .coin import CoinMatrix, PolarParams, _check_unit, make_coin, polar, psi_from_phi
 from .errors import (
     DegenerateCoin,
     InvalidConfig,
@@ -241,14 +241,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
     atomic_write(path, direct_walk._csv_text(header, zip(*rows)))
 
 
-def _polar(cfg: ExperimentConfig, what: str) -> PolarParams:
-    """The coin's polar parameters; for ``what``, a degenerate coin is a config error."""
-    try:
-        return polar(cfg.coin)
-    except DegenerateCoin as exc:
-        raise InvalidConfig(f"{what} needs a, b != 0: {exc}") from exc
-
-
 def _threshold(cfg: ExperimentConfig, key: str, override: float | None) -> float:
     """The --tol override, else the pinned ``tol.<key>`` times the safety factor."""
     if override is not None:
@@ -258,14 +250,28 @@ def _threshold(cfg: ExperimentConfig, key: str, override: float | None) -> float
     return cfg.tol[key] * cfg.tol["safety_factor"]
 
 
+def _fail(message: str) -> int:
+    """Report a failed check as one stderr line; the verb returns the exit code."""
+    print(message, file=sys.stderr)
+    return EXIT_CHECK_FAILED
+
+
+def _limit_setup(cfg: ExperimentConfig) -> tuple[PolarParams, np.ndarray, limit_law.LimitDensity]:
+    """Polar split, algebra-basis spin and limit law shared by ``limit`` and ``charfn``."""
+    _require_within_max(cfg, cfg.n_grid)
+    pol = polar(cfg.coin)
+    psi = psi_from_phi(cfg.phi, pol)
+    return pol, psi, limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Direct and closed-form distributions per step count, plus their gap."""
     gap_tol = cfg.tol["simulate_gap"] if override is None else override
-    _require_within_max(cfg, cfg.steps)
-    pol = _polar(cfg, "simulate")
+    pol = polar(cfg.coin)
     psi = psi_from_phi(cfg.phi, pol)
     rows = []
     failed_n = None
+    # beyond max_n the first next() raises ResourceLimit, before any file is written
     for n, st in direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.steps, cfg.max_n):
         d = direct_walk.distribution(st)
         atomic_write(out_dir / f"direct_n{n}.csv", direct_walk.distribution_to_csv(d))
@@ -284,8 +290,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, override: float | None = 
             failed_n = n
     _write_csv(out_dir / "gaps.csv", "n,max_abs_gap", rows)
     if failed_n is not None:
-        print(f"simulate: first failing n = {failed_n}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _fail(f"simulate: first failing n = {failed_n}")
     return EXIT_PASS
 
 
@@ -296,10 +301,7 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path, override: float | None = Non
     direct evolution, so n up to ``max_n`` is in reach.
     """
     threshold = _threshold(cfg, "kolmogorov_pinned", override)
-    _require_within_max(cfg, cfg.n_grid)
-    pol = _polar(cfg, "limit law")
-    psi = psi_from_phi(cfg.phi, pol)
-    ld = limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
+    pol, psi, ld = _limit_setup(cfg)
     rows = []
     for n in cfg.n_grid:
         q = cheb_engine.qn_distribution(psi, n, pol.s, pol.t)
@@ -310,21 +312,14 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path, override: float | None = Non
     atomic_write(out_dir / "density_cdf.csv", limit_law.density_cdf_csv(ld, ys))
     final_n, final_d = rows[-1]
     if not final_d < threshold:
-        print(
-            f"limit: D_{final_n} = {final_d:.17g} exceeds threshold {threshold:.17g}",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
+        return _fail(f"limit: D_{final_n} = {final_d:.17g} exceeds threshold {threshold:.17g}")
     return EXIT_PASS
 
 
 def cmd_charfn(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
     """Gap between the finite-n characteristic function at xi/n and its limit."""
     threshold = _threshold(cfg, "charfn_pinned", override)
-    _require_within_max(cfg, cfg.n_grid)
-    pol = _polar(cfg, "charfn")
-    psi = psi_from_phi(cfg.phi, pol)
-    ld = limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
+    pol, psi, ld = _limit_setup(cfg)
     limits = {xi: limit_law.limit_char_fn(ld, xi) for xi in cfg.xi_grid}
     rows = []
     for n in cfg.n_grid:
@@ -338,11 +333,7 @@ def cmd_charfn(cfg: ExperimentConfig, out_dir: Path, override: float | None = No
         print(f"charfn n={n}: max gap over xi grid = {row_max:.3e}")
     _write_csv(out_dir / "charfn.csv", "n,xi,re_en,im_en,re_limit,im_limit,gap", rows)
     if not row_max < threshold:
-        print(
-            f"charfn: largest-n row max {row_max:.17g} exceeds threshold {threshold:.17g}",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
+        return _fail(f"charfn: largest-n row max {row_max:.17g} exceeds threshold {threshold:.17g}")
     return EXIT_PASS
 
 
@@ -355,7 +346,6 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = N
     beta = alg["beta"] if alg["beta"] is not None else complex(np.exp(2j * np.pi * rng.random()))
     try:
         pol = polar(cfg.coin)
-        check_polar(pol.s, pol.t)
         s_val, t_val = pol.s, pol.t
     except (DegenerateCoin, ParamViolation):
         # the moduli enter only the two scaled identities; check them at the Hadamard values
@@ -365,8 +355,7 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = N
         report = verify_relations(rep, tol=resid_tol, s=s_val, t=t_val)
     except RelationFailure as exc:
         atomic_write(out_dir / "relation_report.json", RelationReport(exc.report).to_json())
-        print("algebra: FAILED identities: " + ", ".join(exc.failing), file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _fail("algebra: FAILED identities: " + ", ".join(exc.failing))
     atomic_write(out_dir / "relation_report.json", report.to_json())
     print(
         f"algebra N={alg['N']}: all {len(report.residuals)} identities pass "
@@ -382,7 +371,7 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path, override: float | None = None
     # the circle rule takes 2n + max|k| + 16 nodes
     _require_within_max(cfg, n_grid)
     _require_within_max(cfg, [abs(k) for k in ks], "|k|")
-    s = _polar(cfg, "asym").s
+    s = polar(cfg.coin).s
     limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
     # The vanishing entries carry roundoff on the scale of U_{n-1}^2, so each
     # n holds them to parity_zero * max(1, mean(U_{n-1}^2)).  That mean is the
@@ -407,14 +396,9 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path, override: float | None = None
     final_max_gap = float(np.max(final_gaps))
     print(f"asym: max gap at n={n_grid[-1]} is {final_max_gap:.3e} (threshold {threshold:.3e})")
     if not parity_ok:
-        print("asym: parity-vanishing columns exceed tolerance", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _fail("asym: parity-vanishing columns exceed tolerance")
     if not final_max_gap < threshold:
-        print(
-            f"asym: gap {final_max_gap:.17g} at n={n_grid[-1]} exceeds {threshold:.17g}",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
+        return _fail(f"asym: gap {final_max_gap:.17g} at n={n_grid[-1]} exceeds {threshold:.17g}")
     return EXIT_PASS
 
 
@@ -451,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         # looked up at call time, so a cmd_<verb> swapped into the module is the one run
         verb = globals()[f"cmd_{args.command}"]
         code = verb(cfg, Path(args.out), args.tol)
-    except (InvalidConfig, NormViolation, ParamViolation, ResourceLimit) as exc:
+    except (InvalidConfig, DegenerateCoin, NormViolation, ParamViolation, ResourceLimit) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except QWalkError as exc:

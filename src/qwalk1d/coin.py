@@ -3,8 +3,8 @@
 A coin is the 2x2 matrix [[a, b], [-conj(b), conj(a)]] with |a|^2 + |b|^2 = 1.
 This module validates coins, splits them into the right-moving / left-moving
 parts used by the walk operator, extracts the polar parameters (s, t, alpha,
-beta), and converts initial spin states between the two conventions the rest
-of the package uses.
+beta), and maps an initial spin from the position basis to the algebra basis
+the closed form uses.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ class CoinMatrix:
 class PolarParams:
     """Modulus/phase split of a coin: a = s*alpha, b = t*beta.
 
-    s and t are the moduli (s^2 + t^2 = 1); alpha and beta are unit-modulus
-    phases.  Only defined for coins with both entries non-zero.
+    s and t are the moduli (0 < s, t < 1 and s^2 + t^2 = 1); alpha and beta
+    are unit-modulus phases.  Only defined for coins with both entries
+    non-zero.
     """
 
     s: float
@@ -78,16 +79,21 @@ def split(c: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
 def polar(c: CoinMatrix) -> PolarParams:
     """Extract s = |a|, t = |b| and the unit phases alpha = a/|a|, beta = b/|b|.
 
+    The split returned always passes :func:`check_polar`, which every closed
+    form downstream relies on.
+
     Raises
     ------
     DegenerateCoin
-        If a = 0 or b = 0; the polar split (and everything downstream that
-        needs 0 < s, t < 1) is undefined there.
+        If a = 0 or b = 0; the polar split is undefined there.
+    ParamViolation
+        If s or t rounds to 0 or 1, as for a = 1, b = 1e-9.
     """
     if c.a == 0 or c.b == 0:
         raise DegenerateCoin(f"polar parameters need a != 0 and b != 0, got a={c.a}, b={c.b}")
     s = abs(c.a)
     t = abs(c.b)
+    check_polar(s, t)
     return PolarParams(s=s, t=t, alpha=c.a / s, beta=c.b / t)
 
 
@@ -127,13 +133,6 @@ def psi_from_phi(phi: np.ndarray, p: PolarParams) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     _check_unit(phi)
     return np.array([phi[0], -p.alpha * p.beta * phi[1]], dtype=complex)
-
-
-def phi_from_psi(psi: np.ndarray, p: PolarParams) -> np.ndarray:
-    """Inverse of :func:`psi_from_phi`: phi = (psi_1, -conj(alpha*beta)*psi_2)."""
-    psi = np.asarray(psi, dtype=complex)
-    _check_unit(psi)
-    return np.array([psi[0], -(p.alpha * p.beta).conjugate() * psi[1]], dtype=complex)
 
 
 def _check_unit(v: np.ndarray) -> None:

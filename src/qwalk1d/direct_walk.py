@@ -40,13 +40,6 @@ class WalkState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
-    def amplitude(self, x: int) -> np.ndarray:
-        """Amplitude at lattice site x (zero outside the window)."""
-        i = x - self.offset
-        if 0 <= i < self.amps.shape[0]:
-            return self.amps[i].copy()
-        return np.zeros(2, dtype=complex)
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -110,19 +103,6 @@ def _advance(cur: np.ndarray, new: np.ndarray, tmp: np.ndarray, coef: tuple, m: 
     np.add(new[:, :m], x, out=new[:, :m])
 
 
-def step(st: WalkState, c: CoinMatrix) -> WalkState:
-    """Apply the walk operator once; the window grows one site per side."""
-    coef = _coefficients(c)
-    amps = np.ascontiguousarray(st.amps, dtype=complex)
-    out = np.zeros((amps.shape[0] + 2, 2), dtype=complex)
-    # each parity class of sites moves to the other class, independently
-    for par in (0, 1):
-        cur = amps[par::2].view(float).T
-        m = cur.shape[1]
-        _advance(cur, out[par::2].view(float).T, np.empty((2, 4, m)), coef, m)
-    return WalkState(offset=st.offset - 1, amps=out)
-
-
 def _snapshots(
     phi: np.ndarray, c: CoinMatrix, ns: Iterable[int], max_steps: int
 ) -> Iterator[tuple[int, WalkState]]:
@@ -153,7 +133,7 @@ def _snapshots(
 
 
 def evolve(phi: np.ndarray, c: CoinMatrix, n: int, max_steps: int = DEFAULT_MAX_STEPS) -> WalkState:
-    """n-fold application of :func:`step` to the state concentrated at 0.
+    """The state n steps after the one concentrated at site 0 with spin phi.
 
     Raises
     ------
@@ -181,11 +161,6 @@ def distribution(st: WalkState) -> Distribution:
     """Per-site probabilities: the squared amplitude norm at each site."""
     probs = np.sum(np.abs(st.amps) ** 2, axis=1)
     return Distribution(offset=st.offset, probs=probs)
-
-
-def char_fn(d: Distribution, xi: float) -> complex:
-    """Characteristic function sum_x probs[x] * exp(i*xi*x)."""
-    return complex(np.sum(d.probs * np.exp(1j * xi * d.sites)))
 
 
 def _csv_text(header: str, columns) -> str:

@@ -1,20 +1,20 @@
 """The rescaled-position limit density and everything needed to test it.
 
 The limit law on (-s, s) has density t*(1 + lambda*y) / (pi*(1-y^2)*sqrt(s^2-y^2)),
-where lambda depends on the initial spin.  The inverse-square-root edge factor
-is integrable but breaks naive quadrature, so every expectation under the law
-(:func:`limit_char_fn`, :func:`limit_mean`) goes through one helper that
-substitutes y = s*sin(theta).  The integrand is then smooth and depends on
-theta only through sin(theta), so the expectation is a mean over the whole
-circle, as are the contour limits of :func:`asym_limits`.  All of them take
-one rule, :func:`qwalk1d.cheb_engine._circle_mean`: trapezoid means on a
-doubling power-of-two node count until two means, scaled as returned, agree
-to 1e-10.  The CDF has an elementary antiderivative in theta, which
-:func:`cdf_grid` evaluates in closed form.  Finite-size contour integrals
-(entries of the Chebyshev Gram kernel of :mod:`qwalk1d.cheb_engine`, exact
-circle means, a whole (k, xi) grid per n in one batched call by
-:func:`asym_grid`) and their closed limits support the convergence
-experiments.
+where lambda depends on the initial spin; its mean is lambda*(1 - t) in
+closed form.  The inverse-square-root edge factor is integrable but breaks
+naive quadrature, so the characteristic function :func:`limit_char_fn` goes
+through one expectation helper that substitutes y = s*sin(theta).  The
+integrand is then smooth and depends on theta only through sin(theta), so
+the expectation is a mean over the whole circle, as are the contour limits
+of :func:`asym_limits`.  All of them take one rule,
+:func:`qwalk1d.cheb_engine._circle_mean`: trapezoid means on a doubling
+power-of-two node count until two means, scaled as returned, agree to 1e-10.
+The CDF has an elementary antiderivative in theta, which :func:`cdf_grid`
+evaluates in closed form.  Finite-size contour integrals (entries of the
+Chebyshev Gram kernel of :mod:`qwalk1d.cheb_engine`, exact circle means, a
+whole (k, xi) grid per n in one batched call by :func:`asym_grid`) and their
+closed limits support the convergence experiments.
 """
 
 from __future__ import annotations
@@ -134,11 +134,6 @@ def limit_char_fn(d: LimitDensity, xi: float) -> complex:
     if xi == 0.0:
         return 1.0 + 0j
     return _expect(d, lambda y: np.exp(1j * xi * y), abs(xi) * d.s)
-
-
-def limit_mean(d: LimitDensity) -> float:
-    """First moment of the limit density, by quadrature."""
-    return _expect(d, lambda y: y, 0).real
 
 
 def asym_grid(n: int, ks, xis, s: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from qwalk1d.cheb_engine import (
     transfer_polys,
 )
 from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
-from qwalk1d.direct_walk import char_fn, distribution, evolve, evolve_snapshots
+from qwalk1d.direct_walk import distribution, evolve, evolve_snapshots
 from qwalk1d.errors import NormViolation, ParamViolation, QuadratureDivergence
 
 R = 1.0 / math.sqrt(2.0)
@@ -562,6 +562,10 @@ class TestCharFnComponents:
         assert e == pytest.approx(-1.0, abs=1e-12)
 
     def test_combination_matches_distribution_char_fn(self):
+        def char_fn(d, xi):
+            """The reference: sum_x probs[x] e^{i xi x} over the distribution's window."""
+            return complex(np.sum(d.probs * np.exp(1j * xi * d.sites)))
+
         rng = np.random.default_rng(34)
         for _ in range(5):
             s = rng.uniform(0.3, 0.9)

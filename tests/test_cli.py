@@ -149,17 +149,6 @@ class TestSimulate:
         assert x == "0"
         assert float(prob) == pytest.approx(1.0, abs=1e-12)
 
-    def test_degenerate_coin_is_invalid_config(self, tmp_path, capsys):
-        # no closed form to compare with, so nothing would be checked
-        cfg = base_config(coin={"a": [1.0, 0.0], "b": [0.0, 0.0]}, steps=[2])
-        cfg_path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
-        code = main(["simulate", "--config", cfg_path, "--out", str(out), "--tol", "1e-30"])
-        assert code == EXIT_BAD_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("invalid config: ")
-        assert not out.exists()
-
     def test_window_mismatch_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
         def shifted(psi, n, s, t):
             return Distribution(offset=-n - 1, probs=np.zeros(2 * n + 3))
@@ -177,10 +166,14 @@ class TestSimulate:
         main(["simulate", "--config", cfg_path, "--out", str(out_b)])
         assert (out_a / "gaps.csv").read_bytes() == (out_b / "gaps.csv").read_bytes()
 
-    def test_max_n_guard(self, tmp_path):
+    def test_max_n_guard(self, tmp_path, capsys):
+        # evolution stops at its first step count beyond max_n, before any file is written
         cfg_path = write_config(tmp_path, base_config())
-        code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"), "--max-n", "2"])
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", cfg_path, "--out", str(out), "--max-n", "2"])
         assert code == EXIT_BAD_CONFIG
+        assert_one_stderr_line(capsys, "invalid config: n = 3 exceeds")
+        assert not out.exists()
 
     def test_fail_with_impossible_tol(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -215,12 +208,6 @@ class TestLimit:
         code = main(["limit", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == EXIT_CHECK_FAILED
         assert_one_stderr_line(capsys, "limit: ")
-
-    def test_degenerate_coin_rejected(self, tmp_path):
-        cfg = base_config(coin={"a": [1.0, 0.0], "b": [0.0, 0.0]})
-        cfg_path = write_config(tmp_path, cfg)
-        code = main(["limit", "--config", cfg_path, "--out", str(tmp_path / "o")])
-        assert code == EXIT_BAD_CONFIG
 
     def test_does_not_evolve(self, tmp_path, monkeypatch):
         # the closed form gives every Q_n; direct evolution is O(n^2)
@@ -452,6 +439,22 @@ MALFORMED = [
     # the config path is a directory
     ("simulate", "<directory>", None),
 ]
+
+
+@pytest.mark.parametrize("verb", ["simulate", "limit", "charfn", "asym"])
+@pytest.mark.parametrize(
+    "coin",
+    [{"a": [1.0, 0.0], "b": [0.0, 0.0]}, {"a": [1.0, 0.0], "b": [1e-9, 0.0]}],
+    ids=["b_zero", "s_rounds_to_1"],
+)
+def test_degenerate_coin_is_invalid_config(tmp_path, capsys, verb, coin):
+    # no closed form to compare with, so nothing would be checked; |b| = 1e-9
+    # passes the coin's norm check but leaves s = 1.0 after rounding
+    cfg_path = write_config(tmp_path, base_config(coin=coin))
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg_path, "--out", str(out), "--tol", "1e-30"]) == EXIT_BAD_CONFIG
+    assert_one_stderr_line(capsys, "invalid config: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb, key, value", MALFORMED, ids=lambda v: repr(v)[:24])

@@ -9,7 +9,6 @@ from qwalk1d.coin import (
     check_polar,
     hadamard_coin,
     make_coin,
-    phi_from_psi,
     polar,
     psi_from_phi,
     split,
@@ -119,6 +118,12 @@ class TestPolar:
         with pytest.raises(DegenerateCoin):
             polar(make_coin(0.0, 1.0))
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1e-9), (1e-9, 1.0)])
+    def test_split_that_rounds_to_an_edge_rejected(self, a, b):
+        # |a|^2 + |b|^2 rounds to 1, so the coin is valid, but s or t rounds to 1
+        with pytest.raises(ParamViolation):
+            polar(make_coin(a, b))
+
     @pytest.mark.parametrize("s, t", [(R, R), (0.6, 0.8), (0.6, None), (1e-300, None)])
     def test_check_polar_accepts(self, s, t):
         check_polar(s, t)
@@ -180,7 +185,8 @@ class TestSpinConversion:
         for _ in range(100):
             pp = polar(random_coin(rng))
             phi = random_unit2(rng)
-            back = phi_from_psi(psi_from_phi(phi, pp), pp)
+            psi = psi_from_phi(phi, pp)
+            back = np.array([psi[0], -(pp.alpha * pp.beta).conjugate() * psi[1]])
             np.testing.assert_allclose(back, phi, atol=1e-14)
 
     def test_norm_violation(self):

@@ -9,17 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from qwalk1d.coin import hadamard_coin, make_coin
+from qwalk1d.cheb_engine import char_fn_components
+from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
 from qwalk1d.direct_walk import (
-    Distribution,
     _csv_text,
-    char_fn,
     distribution,
     distribution_to_csv,
     evolve,
     evolve_snapshots,
     initial_state,
-    step,
 )
 from qwalk1d.errors import NormViolation, ResourceLimit
 
@@ -43,6 +41,22 @@ def oracle_evolve(phi, a, b, n):
     return state
 
 
+def oracle_amps(st, phi, a, b, n):
+    """The dict oracle after n steps, laid out over st's window."""
+    ref = oracle_evolve(phi, a, b, n)
+    return np.array([ref.get(int(x), (0j, 0j)) for x in st.sites])
+
+
+def random_walk(rng):
+    """A random coin's entries (a, b) and a random unit spin."""
+    g = rng.normal(size=4)
+    a, b = complex(g[0], g[1]), complex(g[2], g[3])
+    nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    v = rng.normal(size=4)
+    phi = np.array([complex(v[0], v[1]), complex(v[2], v[3])])
+    return a / nrm, b / nrm, phi / np.linalg.norm(phi)
+
+
 class TestInitialState:
     def test_basis(self):
         st = initial_state(np.array([1.0, 0.0]))
@@ -59,25 +73,26 @@ class TestInitialState:
 
 
 class TestStep:
+    # one step of evolve; the window holds sites -1, 0, 1
     def test_right_mover(self):
-        st = step(initial_state(np.array([1.0, 0.0])), hadamard_coin())
-        np.testing.assert_allclose(st.amplitude(1), [R, -R], atol=1e-15)
-        assert np.max(np.abs(st.amplitude(-1))) == 0.0
-        assert np.max(np.abs(st.amplitude(0))) == 0.0
+        phi = np.array([1.0, 0.0])
+        st = evolve(phi, hadamard_coin(), 1)
+        np.testing.assert_allclose(st.amps, [[0, 0], [0, 0], [R, -R]], atol=1e-15)
+        np.testing.assert_array_equal(st.amps, oracle_amps(st, phi, R, R, 1))
 
     def test_left_mover(self):
-        st = step(initial_state(np.array([0.0, 1.0])), hadamard_coin())
-        np.testing.assert_allclose(st.amplitude(-1), [R, R], atol=1e-15)
-        assert np.max(np.abs(st.amplitude(1))) == 0.0
+        phi = np.array([0.0, 1.0])
+        st = evolve(phi, hadamard_coin(), 1)
+        np.testing.assert_allclose(st.amps, [[R, R], [0, 0], [0, 0]], atol=1e-15)
+        np.testing.assert_array_equal(st.amps, oracle_amps(st, phi, R, R, 1))
 
     def test_pure_shift_coin(self):
-        st = step(initial_state(np.array([1.0, 0.0])), make_coin(1.0, 0.0))
-        np.testing.assert_array_equal(st.amplitude(1), [1, 0])
+        st = evolve(np.array([1.0, 0.0]), make_coin(1.0, 0.0), 1)
+        np.testing.assert_array_equal(st.amps, [[0, 0], [0, 0], [1, 0]])
 
     def test_window_grows_by_one_per_side(self):
-        st = initial_state(np.array([1.0, 0.0]))
         for k in range(1, 6):
-            st = step(st, hadamard_coin())
+            st = evolve(np.array([1.0, 0.0]), hadamard_coin(), k)
             assert st.offset == -k
             assert st.amps.shape == (2 * k + 1, 2)
 
@@ -90,9 +105,9 @@ class TestEvolve:
 
     def test_two_steps_amplitudes(self):
         st = evolve(np.array([1.0, 0.0]), hadamard_coin(), 2)
-        np.testing.assert_allclose(st.amplitude(2), [0.5, -0.5], atol=1e-15)
-        np.testing.assert_allclose(st.amplitude(0), [-0.5, -0.5], atol=1e-15)
-        assert np.max(np.abs(st.amplitude(-2))) == 0.0
+        expected = [[0, 0], [0, 0], [-0.5, -0.5], [0, 0], [0.5, -0.5]]  # sites -2..2
+        np.testing.assert_allclose(st.amps, expected, atol=1e-15)
+        assert np.max(np.abs(st.amps[0])) == 0.0
 
     def test_three_steps_distribution(self):
         d = distribution(evolve(np.array([1.0, 0.0]), hadamard_coin(), 3))
@@ -104,20 +119,12 @@ class TestEvolve:
     def test_matches_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(4):
-            g = rng.normal(size=4)
-            a, b = complex(g[0], g[1]), complex(g[2], g[3])
-            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            a, b = a / nrm, b / nrm
+            a, b, phi = random_walk(rng)
             c = make_coin(a, b)
-            v = rng.normal(size=4)
-            phi = np.array([complex(v[0], v[1]), complex(v[2], v[3])])
-            phi /= np.linalg.norm(phi)
             for n in (1, 5, 17):
                 st = evolve(phi, c, n)
-                ref = oracle_evolve(phi, a, b, n)
-                for x in range(-n, n + 1):
-                    expected = np.array(ref.get(x, (0j, 0j)))
-                    np.testing.assert_allclose(st.amplitude(x), expected, atol=1e-13)
+                assert st.offset == -n
+                np.testing.assert_allclose(st.amps, oracle_amps(st, phi, a, b, n), atol=1e-13)
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimit):
@@ -132,28 +139,16 @@ class TestEvolve:
             np.testing.assert_array_equal(st.amps, ref.amps)
 
     def test_snapshots_match_repeated_step_and_oracle_bit_for_bit(self):
+        # the oracle repeats one scalar step n times
         rng = np.random.default_rng(24)
         ns = [0, 0, 1, 2, 2, 37, 300]
         for _ in range(3):
-            g = rng.normal(size=4)
-            a, b = complex(g[0], g[1]), complex(g[2], g[3])
-            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            a, b = a / nrm, b / nrm
-            c = make_coin(a, b)
-            v = rng.normal(size=4)
-            phi = np.array([complex(v[0], v[1]), complex(v[2], v[3])])
-            phi /= np.linalg.norm(phi)
-            stepped = [initial_state(phi)]
-            for _ in range(ns[-1]):
-                stepped.append(step(stepped[-1], c))
-            snaps = list(evolve_snapshots(phi, c, ns))
+            a, b, phi = random_walk(rng)
+            snaps = list(evolve_snapshots(phi, make_coin(a, b), ns))
             assert [n for n, _ in snaps] == ns
             for n, st in snaps:
-                assert st.offset == stepped[n].offset == -n
-                np.testing.assert_array_equal(st.amps, stepped[n].amps)
-                ref = oracle_evolve(phi, a, b, n)
-                expected = np.array([ref.get(int(x), (0j, 0j)) for x in st.sites])
-                np.testing.assert_array_equal(st.amps, expected)
+                assert st.offset == -n
+                np.testing.assert_array_equal(st.amps, oracle_amps(st, phi, a, b, n))
 
     def test_snapshots_validate_order(self):
         with pytest.raises(ValueError):
@@ -177,11 +172,8 @@ class TestDistribution:
         assert abs(distribution(st).total() - 1.0) < 1e-12
 
     def test_support_and_parity_exact(self):
-        rng = np.random.default_rng(22)
-        g = rng.normal(size=4)
-        a, b = complex(g[0], g[1]), complex(g[2], g[3])
-        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        c = make_coin(a / nrm, b / nrm)
+        a, b, _ = random_walk(np.random.default_rng(22))
+        c = make_coin(a, b)
         for n in (4, 9):
             d = distribution(evolve(np.array([1.0, 0.0]), c, n))
             for x in d.sites:
@@ -207,18 +199,23 @@ class TestDistribution:
 
 
 class TestCharFn:
+    # sum_x p(x) e^{i xi x} at hand values of the direct walk, taken by the
+    # closed-form char-fn sum; spin (1, 0) is its own algebra-basis twin
     def test_normalization(self):
         d = distribution(evolve(np.array([1.0, 0.0]), hadamard_coin(), 5))
-        assert char_fn(d, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert d.total() == pytest.approx(1.0, abs=1e-14)
+        assert char_fn_components(np.array([1.0, 0.0]), 5, R, R, 0.0)[3] == pytest.approx(1.0, abs=1e-14)
 
     def test_point_mass_at_pi(self):
-        d = Distribution(offset=1, probs=np.array([1.0]))
-        assert char_fn(d, math.pi) == pytest.approx(-1.0, abs=1e-14)
+        # from spin (0, 1) one step of any coin puts all mass on site -1
+        c, phi = make_coin(0.6, 0.8), np.array([0.0, 1.0])
+        assert distribution(evolve(phi, c, 1)).prob(-1) == pytest.approx(1.0, abs=1e-15)
+        e1 = char_fn_components(psi_from_phi(phi, polar(c)), 1, 0.6, 0.8, math.pi)[3]
+        assert e1 == pytest.approx(-1.0, abs=1e-14)
 
     def test_three_step_cancellation(self):
         # 0.25 e^{3i pi/2} + 0.5 e^{i pi/2} + 0.25 e^{-i pi/2} = 0
-        d = distribution(evolve(np.array([1.0, 0.0]), hadamard_coin(), 3))
-        assert abs(char_fn(d, math.pi / 2)) < 1e-14
+        assert abs(char_fn_components(np.array([1.0, 0.0]), 3, R, R, math.pi / 2)[3]) < 1e-14
 
 
 class TestSerialization:

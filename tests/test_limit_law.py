@@ -22,6 +22,7 @@ from qwalk1d.direct_walk import distribution, evolve
 from qwalk1d.errors import DegenerateCoin, ParamViolation, QuadratureFailure
 from qwalk1d.limit_law import (
     LimitDensity,
+    _expect,
     asym_grid,
     asym_integrals,
     asym_limits,
@@ -32,7 +33,6 @@ from qwalk1d.limit_law import (
     lambda_phi,
     lambda_psi,
     limit_char_fn,
-    limit_mean,
 )
 
 R = math.sqrt(0.5)
@@ -206,7 +206,13 @@ class TestLimitCharFn:
             assert gap_p == pytest.approx(gap_m, abs=1e-12)
 
 
+def first_moment(d):
+    """The limit law's mean by the package's expectation helper."""
+    return _expect(d, lambda y: y, 0).real
+
+
 class TestLimitMean:
+    # the mean has the closed form lam (1 - t); the tests use it as the limit
     def test_against_trapezoid_oracle(self):
         d = LimitDensity(R, R, 1.0)
 
@@ -214,10 +220,12 @@ class TestLimitMean:
             y = d.s * np.sin(theta)
             return y * d.t * (1 + d.lam * y) / (np.pi * (1 - y**2))
 
-        assert limit_mean(d) == pytest.approx(theta_oracle(f), abs=1e-8)
+        oracle = theta_oracle(f)
+        assert d.lam * (1 - d.t) == pytest.approx(oracle, abs=1e-8)
+        assert first_moment(d) == pytest.approx(oracle, abs=1e-8)
 
     def test_zero_for_symmetric(self):
-        assert limit_mean(LimitDensity(0.6, 0.8, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert first_moment(LimitDensity(0.6, 0.8, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAsymIntegrals:
@@ -391,7 +399,7 @@ class TestAgainstMpmath:
         t = math.sqrt(1 - s * s)
         d = LimitDensity(s, t, 0.7)
         assert abs(limit_char_fn(d, 2.0)) <= 1.0
-        assert abs(limit_mean(d) - 0.7 * (1 - t)) < 1e-10  # mean = lam (1 - t)
+        assert abs(first_moment(d) - 0.7 * (1 - t)) < 1e-10  # mean = lam (1 - t)
         s = 0.99999
         t = math.sqrt(1 - s * s)
         a, _, _, d_lim = asym_limits(0, 0.0, s)
@@ -460,7 +468,7 @@ class TestRescaledMean:
         pp = polar(coin)
         phi = np.array([1.0, 0.0])
         d = LimitDensity(pp.s, pp.t, lambda_phi(phi, coin))
-        target = limit_mean(d)
+        target = d.lam * (1 - d.t)  # the limit law's mean
         gaps = []
         for n in (100, 800):
             dist = distribution(evolve(phi, coin, n))

@@ -1,16 +1,56 @@
 """The package's public names."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import qwalk1d
+from qwalk1d import cli, coin, direct_walk, limit_law
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def read_identifiers(path: Path) -> set[str]:
+    """Every name and attribute name the module reads; definitions and strings do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
 
 
 def test_every_public_name_resolves():
     for name in qwalk1d.__all__:
         assert getattr(qwalk1d, name) is not None, name
+
+
+def test_every_public_name_has_a_caller():
+    # the package itself, the benchmark or the acceptance tests read each public name
+    sources = [p for p in (REPO / "src" / "qwalk1d").glob("*.py") if p.name != "__init__.py"]
+    sources += (REPO / "perfbench").glob("*.py")
+    sources.append(REPO / "tests" / "test_acceptance.py")
+    read = set().union(*map(read_identifiers, sources))
+    assert [name for name in qwalk1d.__all__ if name not in read] == []
+
+
+def test_caller_less_paths_are_gone():
+    # no verb, benchmark or acceptance test called them; the tests keep their own references
+    for module, name in [
+        (direct_walk, "step"),
+        (direct_walk, "char_fn"),
+        (coin, "phi_from_psi"),
+        (limit_law, "limit_mean"),
+    ]:
+        assert name not in qwalk1d.__all__
+        assert not hasattr(qwalk1d, name)
+        assert not hasattr(module, name)
+    assert not hasattr(qwalk1d.WalkState, "amplitude")
+    # polar validates its own split; the verbs call it directly
+    assert not hasattr(cli, "_polar")
 
 
 def test_removed_writers_are_gone():
