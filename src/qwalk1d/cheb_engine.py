@@ -12,8 +12,10 @@ samples them in trigonometric form and everything else is a circle mean:
 - the characteristic-function components and the contour integrals of
   :mod:`qwalk1d.limit_law` are entries of one Gram kernel, batched over
   shifts and phases: it samples the rows once at theta and once per distinct
-  shift, and reads every phase e^{i k theta} from one table, so a whole grid
-  of sums costs O(n) per distinct shift plus O(n) per (k, shift) pair;
+  shift, reads cos(theta), sin(theta) and every phase e^{i k theta} from one
+  table of e^{i theta}, and forms the shifted cosines and sines from that
+  table by angle addition, so a whole grid of sums costs O(n) per distinct
+  shift plus O(n) per (k, shift) pair;
 - :func:`cross_series_quadrature` evaluates two polynomials at the roots of
   unity from one buffer holding both coefficient rows: one fold onto the
   nodes and one FFT per call.
@@ -198,14 +200,14 @@ def _circle_mean(f, band: float) -> np.ndarray:
     )
 
 
-def _cheb_rows(n: int, s: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of T_n and U_{n-1} at s*cos(theta).
+def _cheb_rows(n: int, s: float, cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of T_n and U_{n-1} at s*cos(theta), given cos(theta).
 
     That is s*(z + 1/z)/2 on z = e^{i theta}, in trigonometric form: with
     phi = acos(s cos theta), T_n = cos(n phi) and U_{n-1} = sin(n phi) / sin(phi),
     where sin(phi) >= t > 0 because s < 1.  Each has bandwidth at most n.
     """
-    ac = np.arccos(s * np.cos(theta))
+    ac = np.arccos(s * cos)
     return np.cos(n * ac), np.sin(n * ac) / np.sin(ac)
 
 
@@ -222,7 +224,7 @@ def _cheb_coeffs(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     """
     theta = _circle(2 * n, 1 << (2 * n).bit_length())
     # coefficients of z^0 .. z^n
-    half = np.fft.rfft(_cheb_rows(n, s, theta))[:, :n + 1].real / theta.size
+    half = np.fft.rfft(_cheb_rows(n, s, np.cos(theta)))[:, :n + 1].real / theta.size
     half[0, (n + 1) % 2::2] = 0.0
     half[1, n % 2::2] = 0.0
     tn, um = np.concatenate([half[:, :0:-1], half], axis=1)
@@ -273,13 +275,18 @@ def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: i
     values at the m roots of unity, so a node count below the degree aliases
     as it would with pointwise evaluation.
     """
-    m = _node_count(max(abs(p.lo - q.hi), abs(p.hi - q.lo)), nodes)
+    pc, qc = p.coeffs, q.coeffs
+    p_lo, q_lo = p.lo, q.lo
+    p_hi, q_hi = p_lo + pc.size - 1, q_lo + qc.size - 1
+    m = _node_count(max(abs(p_lo - q_hi), abs(p_hi - q_lo)), nodes)
     # p(w z_j) = sum_x c_x w^x e^{+2 pi i j x / m}: place p reversed, at exponent -x
-    i, k = -p.hi % m, q.lo % m
-    buf = np.zeros((2, -(-max(i + p.coeffs.size, k + q.coeffs.size) // m) * m), dtype=complex)
-    buf[0, i:i + p.coeffs.size] = (p.coeffs * complex(w) ** np.arange(p.lo, p.hi + 1))[::-1]
-    buf[1, k:k + q.coeffs.size] = q.coeffs
-    vals = np.fft.fft(buf.reshape(2, -1, m).sum(axis=1))
+    i, k = -p_hi % m, q_lo % m
+    blocks = -(-max(i + pc.size, k + qc.size) // m)  # at most 2 at the default m
+    buf = np.zeros((2, blocks * m), dtype=complex)
+    np.multiply(pc[::-1], (complex(w) ** np.arange(p_lo, p_hi + 1))[::-1], out=buf[0, i:i + pc.size])
+    buf[1, k:k + qc.size] = qc
+    folded = buf[:, :m] + buf[:, m:] if blocks == 2 else buf.reshape(2, blocks, m).sum(axis=1)
+    vals = np.fft.fft(folded)
     return complex(vals[0] @ vals[1]) / m
 
 
@@ -302,15 +309,16 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
     w = complex(w)
     if not abs(abs(w) - 1.0) <= INPUT_NORM_TOL:
         raise ParamViolation(f"w must lie on the unit circle, got |w| = {abs(w)!r}")
-    lo = max(p.lo, q.lo)
-    hi = min(p.hi, q.hi)
+    pc, qc = p.coeffs, q.coeffs
+    p_lo, q_lo = p.lo, q.lo
+    lo = max(p_lo, q_lo)
+    hi = min(p_lo + pc.size, q_lo + qc.size) - 1
     if lo > hi:
         coef = 0j
     else:
-        xs = np.arange(lo, hi + 1)
-        cp = p.coeffs[lo - p.lo: hi - p.lo + 1]
-        cq = q.coeffs[lo - q.lo: hi - q.lo + 1]
-        coef = complex((cp * cq) @ w ** xs)
+        cp = pc[lo - p_lo: hi - p_lo + 1]
+        cq = qc[lo - q_lo: hi - q_lo + 1]
+        coef = complex((cp * cq) @ w ** np.arange(lo, hi + 1))
     quad = cross_series_quadrature(p, q, w, nodes)
     if not abs(coef - quad) <= CROSS_CHECK_TOL:
         raise QuadratureDivergence(
@@ -320,10 +328,10 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
     return coef
 
 
-def _gram_rows(n: int, s: float, theta: np.ndarray) -> np.ndarray:
-    """The rows T_n, U_{n-1} and V = s sin(theta) U_{n-1} at theta, stacked."""
-    tn, um = _cheb_rows(n, s, theta)
-    return np.array([tn, um, s * np.sin(theta) * um])
+def _gram_rows(n: int, s: float, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The rows T_n, U_{n-1} and V = s sin(theta) U_{n-1}, stacked, from cos and sin of theta."""
+    tn, um = _cheb_rows(n, s, cos)
+    return np.array([tn, um, s * sin * um])
 
 
 def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
@@ -332,29 +340,36 @@ def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
     The rows are r = (T_n, U_{n-1}, V = s sin(theta) U_{n-1}), with T_n and
     U_{n-1} from :func:`_cheb_rows`.  Every integrand has bandwidth at most
     2n + max|k|, so one circle rule with that bandwidth is exact to roundoff
-    for every (k, shift) pair.  The rows are sampled once at theta and once
-    per distinct non-zero shift; each phase e^{i k theta} is read from one
-    table of e^{i theta} at index k j mod m.  Shifts run in the outer loop
+    for every (k, shift) pair.  One table of e^{i theta} gives cos(theta),
+    sin(theta) and, at index k j mod m, every phase e^{i k theta}.  The rows
+    are sampled once at theta and once per distinct non-zero shift d, whose
+    cos(theta + d) and sin(theta + d) come from the table by angle addition
+    rather than by fresh trigonometric passes.  Shifts run in the outer loop
     and phases in the inner one, so only O(m) arrays are held at a time.
     The result has shape (len(ks), len(shifts), 3, 3) and is real when
     every k is 0.
     """
     theta = _circle(2 * n + max(map(abs, ks), default=0))
     m = theta.size
-    rows = _gram_rows(n, s, theta)
-    table = np.exp(1j * theta) if any(ks) else None
-    out = np.empty((len(ks), len(shifts), 3, 3), dtype=float if table is None else complex)
+    table = np.exp(1j * theta)
+    cos, sin = table.real, table.imag
+    rows = _gram_rows(n, s, cos, sin)
+    out = np.empty((len(ks), len(shifts), 3, 3), dtype=complex if any(ks) else float)
     columns: dict[float, list[int]] = {}
     for b, shift in enumerate(shifts):
         columns.setdefault(shift, []).append(b)
     for shift, bs in columns.items():
-        # a copy at shift 0: numpy takes rows @ rows.T by a slower A A^T path
-        other = rows.copy() if shift == 0 else _gram_rows(n, s, theta + shift)
+        if shift == 0:
+            # a copy: numpy takes rows @ rows.T by a slower A A^T path
+            other = rows.copy()
+        else:
+            cd, sd = math.cos(shift), math.sin(shift)
+            other = _gram_rows(n, s, cos * cd - sin * sd, sin * cd + cos * sd)
         for a, k in enumerate(ks):
             if k:
                 # two real products: a complex left factor would make numpy
                 # promote ``other`` to complex and take the slower complex product
-                phase = table[np.arange(m) * k % m]
+                phase = np.take(table, np.arange(0, k * m, k), mode="wrap")  # table[k j mod m]
                 out[a, bs] = ((rows * phase.real) @ other.T + 1j * ((rows * phase.imag) @ other.T)) / m
             else:
                 out[a, bs] = rows @ other.T / m

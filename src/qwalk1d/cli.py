@@ -46,9 +46,9 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 
-# build_rep and verify_relations hold about 19 operators as (N, 2, 2) complex
-# Fourier symbols at once: about 1.15 KB * N (tracemalloc peak), so 72 MiB and
-# about 2 s at this bound.
+# build_rep and verify_relations hold about 19 operators as 2 x 2 complex
+# Fourier symbols over N modes at once: about 1.15 KB * N (tracemalloc peak),
+# so 72 MiB and about 0.5 s at this bound (2 vCPUs, numpy 2.4).
 MAX_ALGEBRA_N = 65536
 
 # Bound on max_n (config field and --max-n), the largest n any verb computes.

@@ -166,15 +166,17 @@ def distribution(st: WalkState) -> Distribution:
 def _csv_text(header: str, columns) -> str:
     """CSV text: the header line, then one line per row of equal-length columns.
 
-    An integer column is written as is; any other is written with 17
-    significant digits, so every double round-trips.
+    An integer column is written as is (``%d``); any other is written with
+    17 significant digits (``%.17g``), so every double round-trips.  All rows
+    are formatted by one ``%`` on the row template repeated once per row.
     """
-    cells = []
-    for col in columns:
-        values = np.asarray(col)
-        fmt = str if values.dtype.kind in "iu" else "{:.17g}".format
-        cells.append(map(fmt, values.tolist()))
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    arrays = [np.asarray(col) for col in columns]
+    width, rows = len(arrays), len(arrays[0]) if arrays else 0
+    values = [None] * (width * rows)
+    for j, col in enumerate(arrays):
+        values[j::width] = col.tolist()
+    row = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in arrays) + "\n"
+    return header + "\n" + (row * rows) % tuple(values)
 
 
 def distribution_to_csv(d: Distribution) -> str:

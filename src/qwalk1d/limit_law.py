@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheb_engine import _cheb_gram, _circle_mean
-from .coin import CoinMatrix, _check_unit, check_polar
+from .coin import CoinMatrix, _check_unit, check_polar, polar
 from .direct_walk import Distribution, _csv_text
-from .errors import DegenerateCoin, ParamViolation
+from .errors import ParamViolation
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,16 @@ def lambda_phi(phi: np.ndarray, c: CoinMatrix) -> float:
     |phi_1|^2 - |phi_2|^2 - (a b conj(phi_1) phi_2 + conj(a b) phi_1 conj(phi_2)) / |a|^2.
     The correction is a number plus its conjugate, so the value is real; the
     imaginary residue is asserted below 1e-12 before being discarded.
+
+    Raises
+    ------
+    DegenerateCoin
+        If a = 0 or b = 0 (from :func:`qwalk1d.coin.polar`).
+    ParamViolation
+        If the coin's polar split fails :func:`qwalk1d.coin.check_polar`, as
+        for a = 1, b = 1e-9.
     """
-    if c.a == 0 or c.b == 0:
-        raise DegenerateCoin("lambda is only defined for coins with a, b != 0")
+    s = polar(c).s
     phi = np.asarray(phi, dtype=complex)
     _check_unit(phi)
     p1, p2 = complex(phi[0]), complex(phi[1])
@@ -71,7 +78,7 @@ def lambda_phi(phi: np.ndarray, c: CoinMatrix) -> float:
     corr = ab * p1.conjugate() * p2 + ab.conjugate() * p1 * p2.conjugate()
     if abs(corr.imag) > 1e-12:
         raise ParamViolation(f"imaginary residue {corr.imag!r} in a real quantity")
-    return abs(p1) ** 2 - abs(p2) ** 2 - corr.real / abs(c.a) ** 2
+    return abs(p1) ** 2 - abs(p2) ** 2 - corr.real / s ** 2
 
 
 def density(d: LimitDensity, y) -> float | np.ndarray:

@@ -1,12 +1,13 @@
 """Tests for the cyclic representation and its operator identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dense_oracle import DenseRep, build_basis, dense_relations, dense_rep, qwr_check
-from qwalk1d.algebra_check import CyclicRep, build_rep, verify_relations
+from qwalk1d.algebra_check import CyclicRep, _mul, build_rep, verify_relations
 from qwalk1d.cheb_engine import qn_distribution
 from qwalk1d.errors import ParamViolation, RelationFailure
 
@@ -199,6 +200,52 @@ class TestVerifyRelations:
         report = verify_relations(build_rep(4, 1.0, 1.0))
         parsed = json.loads(report.to_json())
         assert set(parsed) == EXPECTED_IDENTITIES
+
+
+class TestModeProduct:
+    def random_stack(self, rng, n):
+        # entries of modulus below 1, as in the symbols of unitaries, so products stay below 2
+        return rng.uniform(-0.5, 0.5, size=(n, 2, 2)) + 1j * rng.uniform(-0.5, 0.5, size=(n, 2, 2))
+
+    @staticmethod
+    def mode_last(stack):
+        return np.moveaxis(stack, 0, -1)
+
+    @pytest.mark.parametrize("n", [1, 3, 128, 4096])
+    def test_matches_matmul_on_stacks(self, n):
+        rng = np.random.default_rng(n)
+        a, b = self.random_stack(rng, n), self.random_stack(rng, n)
+        prod = _mul(self.mode_last(a), self.mode_last(b))
+        assert prod.shape == (2, 2, n)
+        assert np.max(np.abs(np.moveaxis(prod, -1, 0) - a @ b)) <= 1e-15
+
+    def test_matches_matmul_with_a_constant_factor(self):
+        # a constant matrix enters mode-last as (2, 2, 1) and broadcasts over the modes
+        rng = np.random.default_rng(7)
+        a = self.random_stack(rng, 16)
+        const = self.random_stack(rng, 1)
+        for left, right in ((a, const), (const, a), (const, const)):
+            prod = np.moveaxis(_mul(self.mode_last(left), self.mode_last(right)), -1, 0)
+            assert prod.shape == (max(len(left), len(right)), 2, 2)
+            assert np.max(np.abs(prod - left @ right)) <= 1e-15
+
+    def test_fields_are_mode_last_views(self):
+        rep = build_rep(8, 1.0, 1.0)
+        for op in (rep.V, rep.W, rep.Sigma):
+            assert op.shape == (8, 2, 2)
+            assert np.moveaxis(op, 0, -1).flags.c_contiguous
+
+
+class TestRelationMemory:
+    def test_peak_at_n_4096(self):
+        # one residual at a time; collecting all 25 (lhs, rhs) pairs first peaked at 14.4 MiB
+        tracemalloc.start()
+        try:
+            verify_relations(build_rep(4096, complex(np.exp(0.3j)), complex(np.exp(-1.1j))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
 
 class TestBuildBasis:

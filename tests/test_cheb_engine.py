@@ -578,3 +578,64 @@ class TestCharFnComponents:
             _, _, _, e = char_fn_components(psi, n, s, t, xi)
             ref = char_fn(qn_distribution(psi, n, s, t), xi)
             assert abs(e - ref) < 1e-12
+
+
+def resampled_gram(n, s, shifts, ks, dtype=float):
+    """The Gram kernel with the rows sampled afresh at theta + d, per shift.
+
+    In float64 the rows come from ``_cheb_rows`` at cos(theta + d); in
+    ``np.longdouble`` the same trigonometric form runs in extended precision
+    on the same float64 grid and shifts.
+    """
+    theta = cheb_engine._circle(2 * n + max(map(abs, ks))).astype(dtype)
+
+    def rows(x):
+        if dtype is float:
+            tn, um = cheb_engine._cheb_rows(n, s, np.cos(x))
+        else:
+            ac = np.arccos(dtype(s) * np.cos(x))
+            tn, um = np.cos(n * ac), np.sin(n * ac) / np.sin(ac)
+        return np.array([tn, um, dtype(s) * np.sin(x) * um])
+
+    base = rows(theta)
+    out = np.empty((len(ks), len(shifts), 3, 3), dtype=np.result_type(dtype, 1j))
+    for b, d in enumerate(shifts):
+        other = rows(theta + dtype(d))
+        for a, k in enumerate(ks):
+            out[a, b] = (base * np.exp(1j * k * theta)) @ other.T / theta.size
+    return out
+
+
+class TestChebGram:
+    KS = (-2, -1, 0, 1, 2)
+
+    @staticmethod
+    def shifts(n):
+        return [0.0, 1 / n, -2.5 / n]
+
+    @pytest.mark.parametrize(
+        "s, n",
+        [(s, n) for s in (0.3, R, 0.95) for n in (1, 7, 500, 8000)] + [(0.99999, 1), (0.99999, 7)],
+    )
+    def test_angle_added_shifts_match_resampled_rows(self, s, n):
+        got = cheb_engine._cheb_gram(n, s, self.shifts(n), self.KS)
+        ref = resampled_gram(n, s, self.shifts(n), self.KS)
+        scale = max(1.0, got[self.KS.index(0), 0, 1, 1].real)  # mean(U_{n-1}^2)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="no extended precision")
+    @pytest.mark.parametrize("n", [500, 8000])
+    def test_angle_added_shifts_no_less_accurate_near_s_one(self, n):
+        # At s = 0.99999 a one-ulp change of cos(theta) moves these entries by
+        # about 1e-9 at n = 8000, so a float64 resample is no oracle; both
+        # float64 kernels are held against extended precision instead.
+        s = 0.99999
+        truth = resampled_gram(n, s, self.shifts(n), self.KS, np.longdouble)
+        got = cheb_engine._cheb_gram(n, s, self.shifts(n), self.KS)
+        ref = resampled_gram(n, s, self.shifts(n), self.KS)
+        assert np.max(np.abs(got - truth)) <= 2 * np.max(np.abs(ref - truth))
+
+    def test_real_without_phases(self):
+        # the e^{i theta} table is always built, but only a non-zero k makes the result complex
+        g = cheb_engine._cheb_gram(60, 0.6, [0.0, 0.1])
+        assert g.dtype == float and g.shape == (1, 2, 3, 3)

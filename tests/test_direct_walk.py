@@ -218,6 +218,16 @@ class TestCharFn:
         assert abs(char_fn_components(np.array([1.0, 0.0]), 3, R, R, math.pi / 2)[3]) < 1e-14
 
 
+def per_cell_csv_text(header, columns):
+    """The one-cell-at-a-time formatter the bulk template replaced, kept as its oracle."""
+    cells = []
+    for col in columns:
+        values = np.asarray(col)
+        fmt = str if values.dtype.kind in "iu" else "{:.17g}".format
+        cells.append(map(fmt, values.tolist()))
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 class TestSerialization:
     def test_distribution_csv(self):
         d = distribution(evolve(np.array([1.0, 0.0]), hadamard_coin(), 2))
@@ -238,3 +248,11 @@ class TestSerialization:
             assert ks == str(k)
             assert float(vs) == v and math.copysign(1.0, float(vs)) == math.copysign(1.0, v)
         assert _csv_text("a,b", []) == "a,b\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_csv_text_matches_per_cell_formatter(self, rows):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-7, 1.0]
+        ints = np.arange(-4, rows - 4)
+        floats = np.array(specials[:rows])
+        columns = [ints, floats, floats[::-1].copy(), [bool(i % 2) for i in range(rows)]]
+        assert _csv_text("k,a,b,c", columns) == per_cell_csv_text("k,a,b,c", columns)

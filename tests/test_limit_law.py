@@ -70,6 +70,11 @@ class TestLambda:
         with pytest.raises(DegenerateCoin):
             lambda_phi(np.array([1.0, 0.0]), make_coin(1.0, 0.0))
 
+    def test_phi_split_outside_polar_range(self):
+        # b != 0, but t = 1e-9 leaves s = 1 after rounding: polar's rule, not a finite lambda
+        with pytest.raises(ParamViolation):
+            lambda_phi(np.array([0.6, 0.8]), make_coin(1.0, 1e-9))
+
     def test_phi_psi_consistency(self):
         rng = np.random.default_rng(51)
         for _ in range(300):

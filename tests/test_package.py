@@ -90,6 +90,12 @@ def test_fold_helper_is_gone():
     assert not hasattr(qwalk1d.cheb_engine, "_fold")
 
 
+def test_algebra_check_has_no_matmul():
+    # a stacked complex @ dispatches once per 2 x 2 mode; algebra_check._mul does not
+    tree = ast.parse((REPO / "src" / "qwalk1d" / "algebra_check.py").read_text())
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+
 def test_import_does_not_load_numpy_polynomial():
     code = "import sys, qwalk1d; print('numpy.polynomial' in sys.modules)"
     src = str(Path(qwalk1d.__file__).resolve().parent.parent)
