@@ -105,6 +105,11 @@ def build_rep(N: int, alpha: complex, beta: complex) -> CyclicRep:
     V comes from the diagonal coin (alpha, 0), W from the off-diagonal coin
     (0, beta); Sigma is diag(1, -1) per site, so its symbol is the same at
     every mode.  The induced shift T equals alpha times the cyclic site shift.
+
+    alpha and beta need unit modulus within ``INPUT_NORM_TOL``; the operators
+    are built from the phases alpha/|alpha| and beta/|beta|, as
+    :func:`qwalk1d.coin.polar` takes alpha = a/s, so V and W are unitary to
+    roundoff.
     """
     if N < 3:
         raise ParamViolation(f"need N >= 3, got {N}")
@@ -113,12 +118,10 @@ def build_rep(N: int, alpha: complex, beta: complex) -> CyclicRep:
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not abs(abs(val) - 1.0) <= INPUT_NORM_TOL:
             raise ParamViolation(f"{name} must have unit modulus, got |{name}| = {abs(val)!r}")
+    alpha, beta = alpha / abs(alpha), beta / abs(beta)
     v = _walk_symbol(*split(make_coin(alpha, 0.0)), N)
     w = _walk_symbol(*split(make_coin(0.0, beta)), N)
     sigma = np.repeat(np.diag([1.0, -1.0]).astype(complex)[..., None], N, axis=-1)
-    for name, m in (("V", v), ("W", w), ("Sigma", sigma)):
-        if _residual(_mul(_adjoint(m), m), np.eye(2)[..., None]) > 1e-12:
-            raise ParamViolation(f"constructed {name} is not unitary")
     v, w, sigma = (np.moveaxis(m, -1, 0) for m in (v, w, sigma))
     return CyclicRep(N=N, V=v, W=w, Sigma=sigma, alpha=alpha, beta=beta)
 

@@ -281,7 +281,9 @@ def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: i
     m = _node_count(max(abs(p_lo - q_hi), abs(p_hi - q_lo)), nodes)
     # p(w z_j) = sum_x c_x w^x e^{+2 pi i j x / m}: place p reversed, at exponent -x
     i, k = -p_hi % m, q_lo % m
-    blocks = -(-max(i + pc.size, k + qc.size) // m)  # at most 2 at the default m
+    # 2 at the default m when p and q share the support [-n, n], as every
+    # transfer polynomial does; uneven supports can take more
+    blocks = -(-max(i + pc.size, k + qc.size) // m)
     buf = np.zeros((2, blocks * m), dtype=complex)
     np.multiply(pc[::-1], (complex(w) ** np.arange(p_lo, p_hi + 1))[::-1], out=buf[0, i:i + pc.size])
     buf[1, k:k + qc.size] = qc

@@ -51,7 +51,7 @@ EXIT_BAD_CONFIG = 2
 # so 72 MiB and about 0.5 s at this bound (2 vCPUs, numpy 2.4).
 MAX_ALGEBRA_N = 65536
 
-# Bound on max_n (config field and --max-n), the largest n any verb computes.
+# Bound on the config's max_n, the largest n any verb computes.
 # The closed form holds O(n) floats: one Q_n at this bound takes about 0.9 s
 # and 153 MiB (tracemalloc peak), where n = 10**9 would ask for about 100 GB.
 MAX_N = 10**6
@@ -77,7 +77,7 @@ TOL_DEFAULTS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed and validated experiment description; every number is finite.
 
@@ -241,10 +241,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
     atomic_write(path, direct_walk._csv_text(header, zip(*rows)))
 
 
-def _threshold(cfg: ExperimentConfig, key: str, override: float | None) -> float:
-    """The --tol override, else the pinned ``tol.<key>`` times the safety factor."""
-    if override is not None:
-        return override
+def _threshold(cfg: ExperimentConfig, key: str) -> float:
+    """The pinned ``tol.<key>`` times the safety factor."""
     if cfg.tol[key] is None:
         raise InvalidConfig(f"tol.{key} missing from config")
     return cfg.tol[key] * cfg.tol["safety_factor"]
@@ -264,9 +262,8 @@ def _limit_setup(cfg: ExperimentConfig) -> tuple[PolarParams, np.ndarray, limit_
     return pol, psi, limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Direct and closed-form distributions per step count, plus their gap."""
-    gap_tol = cfg.tol["simulate_gap"] if override is None else override
     pol = polar(cfg.coin)
     psi = psi_from_phi(cfg.phi, pol)
     rows = []
@@ -284,7 +281,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, override: float | None = 
             )
         gap = float(np.max(np.abs(d.probs - q.probs)))
         rows.append((n, gap))
-        ok = gap < gap_tol
+        ok = gap < cfg.tol["simulate_gap"]
         print(f"simulate n={n}: max |direct - cheb| = {gap:.3e} [{'ok' if ok else 'FAIL'}]")
         if not ok and failed_n is None:
             failed_n = n
@@ -294,13 +291,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, override: float | None = 
     return EXIT_PASS
 
 
-def cmd_limit(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
+def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Kolmogorov distance between the rescaled distribution and the limit CDF.
 
     Each distribution comes from the closed form in O(n log n), not from
     direct evolution, so n up to ``max_n`` is in reach.
     """
-    threshold = _threshold(cfg, "kolmogorov_pinned", override)
+    threshold = _threshold(cfg, "kolmogorov_pinned")
     pol, psi, ld = _limit_setup(cfg)
     rows = []
     for n in cfg.n_grid:
@@ -316,9 +313,9 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path, override: float | None = Non
     return EXIT_PASS
 
 
-def cmd_charfn(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
+def cmd_charfn(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Gap between the finite-n characteristic function at xi/n and its limit."""
-    threshold = _threshold(cfg, "charfn_pinned", override)
+    threshold = _threshold(cfg, "charfn_pinned")
     pol, psi, ld = _limit_setup(cfg)
     limits = {xi: limit_law.limit_char_fn(ld, xi) for xi in cfg.xi_grid}
     rows = []
@@ -337,9 +334,8 @@ def cmd_charfn(cfg: ExperimentConfig, out_dir: Path, override: float | None = No
     return EXIT_PASS
 
 
-def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
+def cmd_algebra(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Operator identity residuals on the cyclic representation, as JSON."""
-    resid_tol = cfg.tol["algebra"] if override is None else override
     alg = cfg.algebra
     rng = np.random.default_rng(alg["seed"])
     alpha = alg["alpha"] if alg["alpha"] is not None else complex(np.exp(2j * np.pi * rng.random()))
@@ -352,7 +348,7 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = N
         s_val = t_val = math.sqrt(0.5)
     rep = build_rep(alg["N"], alpha, beta)
     try:
-        report = verify_relations(rep, tol=resid_tol, s=s_val, t=t_val)
+        report = verify_relations(rep, tol=cfg.tol["algebra"], s=s_val, t=t_val)
     except RelationFailure as exc:
         atomic_write(out_dir / "relation_report.json", RelationReport(exc.report).to_json())
         return _fail("algebra: FAILED identities: " + ", ".join(exc.failing))
@@ -364,9 +360,9 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path, override: float | None = N
     return EXIT_PASS
 
 
-def cmd_asym(cfg: ExperimentConfig, out_dir: Path, override: float | None = None) -> int:
+def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Finite-n contour integrals vs their limits over the n grid."""
-    threshold = _threshold(cfg, "asym_pinned", override)
+    threshold = _threshold(cfg, "asym_pinned")
     ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
     # the circle rule takes 2n + max|k| + 16 nodes
     _require_within_max(cfg, n_grid)
@@ -414,13 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config path (default: packaged config)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="override the command's pass tolerance/threshold",
-        )
-        p.add_argument("--max-n", type=int, default=None, help="override config max_n")
     return parser
 
 
@@ -428,13 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.max_n is not None:
-            cfg.max_n = _integer(args.max_n, "--max-n", 0, MAX_N)
-        if args.tol is not None and not math.isfinite(args.tol):
-            raise InvalidConfig(f"--tol must be finite, got {args.tol}")
         # looked up at call time, so a cmd_<verb> swapped into the module is the one run
         verb = globals()[f"cmd_{args.command}"]
-        code = verb(cfg, Path(args.out), args.tol)
+        code = verb(cfg, Path(args.out))
     except (InvalidConfig, DegenerateCoin, NormViolation, ParamViolation, ResourceLimit) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -100,6 +100,14 @@ class TestBuildRep:
         with pytest.raises(ParamViolation):
             build_rep(4, 1.1, 1.0)
 
+    @pytest.mark.parametrize("alpha", [1 + 4e-11, 1j * (1 + 5e-11)])
+    def test_phase_within_input_tolerance_builds_from_its_unit_phase(self, alpha):
+        # |alpha| is within INPUT_NORM_TOL of 1, so the input is accepted; the
+        # operators come from alpha/|alpha| and pass the 1e-12 identity checks
+        rep = build_rep(8, alpha, 1.0)
+        assert rep.alpha == alpha / abs(alpha)
+        assert verify_relations(rep, tol=1e-12).max_residual() <= 1e-12
+
 
 @pytest.mark.parametrize("n", [3, 4, 8, 16, 64])
 class TestSymbolsMatchDenseOracle:

@@ -499,7 +499,11 @@ class TestCrossSeries:
         rng = np.random.default_rng(35)
         quad = transfer_polys(12, 0.6, 0.8)
         odd = LaurentPoly(lo=5, coeffs=rng.normal(size=9))
-        for p, q in [(quad.p1, quad.p1), (quad.p2, quad.q1), (odd, quad.q2), (quad.q1, odd)]:
+        # p on [-40, 1], q at -23: the default m = 40 folds 3 blocks
+        wide = LaurentPoly(lo=-40, coeffs=rng.normal(size=42))
+        point = LaurentPoly(lo=-23, coeffs=np.array([0.7]))
+        pairs = [(quad.p1, quad.p1), (quad.p2, quad.q1), (odd, quad.q2), (quad.q1, odd), (wide, point)]
+        for p, q in pairs:
             for w in (1.0, -1.0, 1j, complex(np.exp(2.1j))):
                 m = nodes or max(abs(p.lo - q.hi), abs(p.hi - q.lo)) + 16
                 z = np.exp(2j * np.pi * np.arange(m) / m)

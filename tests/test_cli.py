@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line harness: files, exit codes, configs."""
 
 import cmath
+import dataclasses
 import itertools
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,8 @@ class TestLoadConfig:
         cfg = load_config(None)
         assert cfg.coin.a == pytest.approx(R)
         assert cfg.tol["kolmogorov_pinned"] < 0.05
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_n = 2  # a run is set by its config file alone
 
     def test_bad_schema_version(self, tmp_path):
         path = write_config(tmp_path, base_config(schema_version=2))
@@ -168,16 +173,16 @@ class TestSimulate:
 
     def test_max_n_guard(self, tmp_path, capsys):
         # evolution stops at its first step count beyond max_n, before any file is written
-        cfg_path = write_config(tmp_path, base_config())
+        cfg_path = write_config(tmp_path, base_config(max_n=2))
         out = tmp_path / "o"
-        code = main(["simulate", "--config", cfg_path, "--out", str(out), "--max-n", "2"])
+        code = main(["simulate", "--config", cfg_path, "--out", str(out)])
         assert code == EXIT_BAD_CONFIG
         assert_one_stderr_line(capsys, "invalid config: n = 3 exceeds")
         assert not out.exists()
 
     def test_fail_with_impossible_tol(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, base_config())
-        code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", "1e-30"])
+        cfg_path = write_config(tmp_path, replaced(base_config(), "tol.simulate_gap", 1e-30))
+        code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == EXIT_CHECK_FAILED
         assert_one_stderr_line(capsys, "simulate: ")
 
@@ -285,26 +290,25 @@ class TestAlgebra:
         assert max(report.values()) <= 1e-12
 
     def test_fail_with_impossible_tol(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, base_config())
+        cfg_path = write_config(tmp_path, replaced(base_config(), "tol.algebra", 1e-20))
         out = tmp_path / "out"
-        code = main(["algebra", "--config", cfg_path, "--out", str(out), "--tol", "1e-20"])
+        code = main(["algebra", "--config", cfg_path, "--out", str(out)])
         assert code == EXIT_CHECK_FAILED
         assert (out / "relation_report.json").exists()
         assert_one_stderr_line(capsys, "algebra: ")
 
     def test_failed_report_has_the_passing_layout(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config())
         texts = {}
-        for tol in (None, "1e-30"):
+        for tol in (1e-12, 1e-30):
+            cfg_path = write_config(tmp_path, replaced(base_config(), "tol.algebra", tol), f"{tol}.json")
             out = tmp_path / str(tol)
-            args = ["algebra", "--config", cfg_path, "--out", str(out)]
-            code = main(args + (["--tol", tol] if tol else []))
-            assert code == (EXIT_CHECK_FAILED if tol else EXIT_PASS)
+            code = main(["algebra", "--config", cfg_path, "--out", str(out)])
+            assert code == (EXIT_CHECK_FAILED if tol == 1e-30 else EXIT_PASS)
             texts[tol] = (out / "relation_report.json").read_text()
-        passed, failed = json.loads(texts[None]), json.loads(texts["1e-30"])
+        passed, failed = json.loads(texts[1e-12]), json.loads(texts[1e-30])
         assert len(failed) == 25
         assert list(failed) == list(passed)
-        for text, report in ((texts[None], passed), (texts["1e-30"], failed)):
+        for text, report in ((texts[1e-12], passed), (texts[1e-30], failed)):
             assert text == json.dumps(report, indent=2)
 
     def test_explicit_phases(self, tmp_path):
@@ -363,9 +367,9 @@ class TestAsym:
 
     def test_parity_bound_scales_with_u_squared(self, tmp_path, capsys):
         # near s = 1 the vanishing entries' roundoff grows with mean(U_{n-1}^2),
-        # 90 to 150 here; against an absolute 1e-10 they failed under any --tol
+        # 90 to 150 here; against an absolute 1e-10 they failed under any threshold
         cfg_path = write_config(tmp_path, near_one_coin_config())
-        assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", "100"]) == EXIT_PASS
+        assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_PASS
         assert capsys.readouterr().err == ""
 
     def test_parity_violation_fails_at_scaled_bound(self, tmp_path, capsys, monkeypatch):
@@ -381,18 +385,22 @@ class TestAsym:
 
         monkeypatch.setattr(limit_law, "asym_grid", planted_grid)
         cfg_path = write_config(tmp_path, near_one_coin_config())
-        assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", "100"]) == EXIT_CHECK_FAILED
+        assert main(["asym", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
         assert len(planted) == 4 and min(planted) > 10
         assert_one_stderr_line(capsys, "asym: parity")
 
 
 def near_one_coin_config():
-    """A real coin at s = 0.99999, where U_{n-1} is large, on the packaged asym grid."""
+    """A real coin at s = 0.99999, where U_{n-1} is large, on the packaged asym grid.
+
+    The gap pin is a generous 100, so only the parity check can fail.
+    """
     s = 0.99999
-    return base_config(
+    cfg = base_config(
         coin={"a": [s, 0.0], "b": [math.sqrt(1.0 - s * s), 0.0]},
         asym={"ks": [0, 1, 2], "xis": [0.0, 1.0], "n_grid": [200, 500, 1000, 2000]},
     )
+    return replaced(cfg, "tol.asym_pinned", 100.0)
 
 
 @pytest.mark.parametrize("verb, key", [("charfn", "xi_grid"), ("asym", "asym.xis")])
@@ -432,7 +440,7 @@ MALFORMED = [
     ("algebra", "algebra.N", 10**9),
     # beyond MAX_N: the closed form would ask for about 100 GB at n = 10**9
     ("limit", "max_n", 10**9),
-    ("limit", "--max-n", MAX_N + 1),
+    ("limit", "max_n", MAX_N + 1),
     # equal to 1 in Python, but not the integer 1
     ("simulate", "schema_version", True),
     ("simulate", "schema_version", 1.0),
@@ -449,26 +457,24 @@ MALFORMED = [
 )
 def test_degenerate_coin_is_invalid_config(tmp_path, capsys, verb, coin):
     # no closed form to compare with, so nothing would be checked; |b| = 1e-9
-    # passes the coin's norm check but leaves s = 1.0 after rounding
-    cfg_path = write_config(tmp_path, base_config(coin=coin))
+    # passes the coin's norm check but leaves s = 1.0 after rounding.  Every
+    # tolerance is 1e-30, so any check that ran would fail with exit 1.
+    cfg = base_config(coin=coin)
+    cfg["tol"] = dict.fromkeys(cfg["tol"], 1e-30)
+    cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    assert main([verb, "--config", cfg_path, "--out", str(out), "--tol", "1e-30"]) == EXIT_BAD_CONFIG
+    assert main([verb, "--config", cfg_path, "--out", str(out)]) == EXIT_BAD_CONFIG
     assert_one_stderr_line(capsys, "invalid config: ")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("verb, key, value", MALFORMED, ids=lambda v: repr(v)[:24])
 def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, verb, key, value):
-    flags = []
     if key == "<directory>":
         cfg_path = str(tmp_path)
-    elif key is not None and key.startswith("--"):
-        cfg_path = write_config(tmp_path, base_config())
-        flags = [key, str(value)]
     else:
         cfg_path = write_config(tmp_path, replaced(base_config(), key, value))
-    argv = [verb, "--config", cfg_path, "--out", str(tmp_path / "o")] + flags
-    assert main(argv) == EXIT_BAD_CONFIG
+    assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
     assert_one_stderr_line(capsys, "invalid config: ")
 
 
@@ -526,11 +532,24 @@ class TestMainErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid config: cannot write output: ")
 
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
-    def test_non_finite_tol_override(self, tmp_path, tol):
-        cfg_path = write_config(tmp_path, base_config())
-        code = main(["algebra", "--config", cfg_path, "--out", str(tmp_path / "o"), "--tol", tol])
-        assert code == EXIT_BAD_CONFIG
+
+@pytest.mark.parametrize(
+    "verb, key, value, code, err",
+    [
+        ("algebra", "algebra.N", 6, EXIT_PASS, ""),
+        ("limit", "tol.kolmogorov_pinned", 1e-8, EXIT_CHECK_FAILED, "limit: "),
+        ("simulate", "coin", {"a": [1.0, 0.0], "b": [0.0, 0.0]}, EXIT_BAD_CONFIG, "invalid config: "),
+    ],
+    ids=["algebra", "limit", "simulate"],
+)
+def test_process_exit_code(tmp_path, verb, key, value, code, err):
+    # through the interpreter: sys.exit(main()) gives the process its exit code
+    cfg_path = write_config(tmp_path, replaced(base_config(), key, value))
+    argv = ["-m", "qwalk1d.cli", verb, "--config", cfg_path, "--out", str(tmp_path / "o")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert len(done.stderr.splitlines()) == bool(err) and done.stderr.startswith(err)
 
 
 class TestParser:
@@ -548,6 +567,14 @@ class TestParser:
                 main(["nope"])
             assert exc.value.code == EXIT_BAD_CONFIG
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--max-n"])
+    def test_config_overrides_are_gone(self, capsys, flag):
+        # a run is set by its config and --out alone
+        with pytest.raises(SystemExit) as exc:
+            main(["algebra", flag, "1"])
+        assert exc.value.code == EXIT_BAD_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestAtomicWrite:
