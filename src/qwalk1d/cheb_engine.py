@@ -21,10 +21,11 @@ samples them in trigonometric form and everything else is a circle mean:
   nodes and one FFT per call.
 
 Every circle mean takes its nodes from one trapezoid rule, sized by the
-integrand's trigonometric bandwidth (rounded up to a power of two for the
-coefficient FFT); an integrand of unbounded bandwidth, such as the limit-law
-integrals of :mod:`qwalk1d.limit_law`, doubles a power-of-two node count
-until successive means agree (:func:`_circle_mean`).  The O(n^2) three-term
+integrand's trigonometric bandwidth B: B + 16 nodes (:func:`_node_count`;
+the rule has no override), or the power of two above B for the coefficient
+FFT; an integrand of unbounded bandwidth, such as the limit-law integrals of
+:mod:`qwalk1d.limit_law`, doubles a power-of-two node count until
+successive means agree (:func:`_circle_mean`).  The O(n^2) three-term
 recurrence in coefficient space and the textbook binomial sums (which blow
 up for large n) live only in the test suite, as oracles for the FFT
 coefficients.
@@ -143,22 +144,17 @@ def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
     return TransferQuadruple(*(LaurentPoly(-n, c) for c in _columns(*_cheb_coeffs(n, s), s, t)))
 
 
-def _node_count(band: int, nodes: int | None = None) -> int:
-    """Trapezoid node count m for a circle mean of bandwidth ``band``.
+def _node_count(band: int) -> int:
+    """Trapezoid node count m = band + 16 for a circle mean of bandwidth ``band``.
 
     The m-node mean of a trigonometric polynomial of bandwidth B is exact
-    once m > B (Trefethen & Weideman, SIAM Review 56, 2014), so m defaults to
-    band + 16; ``nodes`` overrides it and must be positive.
+    once m > B (Trefethen & Weideman, SIAM Review 56, 2014).
     """
-    m = band + 16 if nodes is None else int(nodes)
-    if m < 1:
-        raise ValueError(f"node count must be positive, got {m}")
-    return m
+    return band + 16
 
 
-def _circle(band: int, nodes: int | None = None) -> np.ndarray:
-    """Trapezoid angles 2 pi j / m, j < m, with m = :func:`_node_count`."""
-    m = _node_count(band, nodes)
+def _circle(m: int) -> np.ndarray:
+    """Trapezoid angles 2 pi j / m, j < m."""
     return 2.0 * np.pi * np.arange(m) / m
 
 
@@ -189,9 +185,9 @@ def _circle_mean(f, band: float) -> np.ndarray:
             f"circle mean of bandwidth {float(band):.3g} needs more than {_MAX_NODES} nodes"
         )
     m = 1 << (math.ceil(band) + 15).bit_length()
-    mean = np.mean(f(_circle(0, m)), axis=-1)
+    mean = np.mean(f(_circle(m)), axis=-1)
     while m < _MAX_NODES:
-        prev, mean = mean, (mean + np.mean(f(_circle(0, m) + np.pi / m), axis=-1)) / 2
+        prev, mean = mean, (mean + np.mean(f(_circle(m) + np.pi / m), axis=-1)) / 2
         m *= 2
         if np.max(np.abs(mean - prev)) < _QUAD_TOL:
             return mean
@@ -222,7 +218,7 @@ def _cheb_coeffs(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     is the package's only source of these coefficients; the tests check it
     against the three-term recurrence in coefficient space.
     """
-    theta = _circle(2 * n, 1 << (2 * n).bit_length())
+    theta = _circle(1 << (2 * n).bit_length())
     # coefficients of z^0 .. z^n
     half = np.fft.rfft(_cheb_rows(n, s, np.cos(theta)))[:, :n + 1].real / theta.size
     half[0, (n + 1) % 2::2] = 0.0
@@ -264,25 +260,25 @@ def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution
     return Distribution(offset=-n, probs=probs)
 
 
-def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None = None) -> complex:
+def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex) -> complex:
     """Trapezoid value of the contour integral of p(w z) q(1/z) dz/(2 pi i z).
 
-    The integrand's exponents span p.lo - q.hi .. p.hi - q.lo, so the default
-    circle rule is exact to roundoff; ``nodes`` < 1 raises ValueError.  Both
-    factors go into one zeroed two-row buffer whose length is a multiple of
-    the node count m, each coefficient at the slot of its exponent mod m; one
-    fold of both rows onto m slots and one FFT give exactly the polynomials'
-    values at the m roots of unity, so a node count below the degree aliases
-    as it would with pointwise evaluation.
+    The integrand's exponents span p.lo - q.hi .. p.hi - q.lo, so the circle
+    rule of :func:`_node_count` is exact to roundoff.  Both factors go into
+    one zeroed two-row buffer whose length is a multiple of the node count m,
+    each coefficient at the slot of its exponent mod m; one fold of both rows
+    onto m slots and one FFT give exactly the polynomials' values at the m
+    roots of unity, so a node count below the degree would alias as it does
+    with pointwise evaluation.
     """
     pc, qc = p.coeffs, q.coeffs
     p_lo, q_lo = p.lo, q.lo
     p_hi, q_hi = p_lo + pc.size - 1, q_lo + qc.size - 1
-    m = _node_count(max(abs(p_lo - q_hi), abs(p_hi - q_lo)), nodes)
+    m = _node_count(max(abs(p_lo - q_hi), abs(p_hi - q_lo)))
     # p(w z_j) = sum_x c_x w^x e^{+2 pi i j x / m}: place p reversed, at exponent -x
     i, k = -p_hi % m, q_lo % m
-    # 2 at the default m when p and q share the support [-n, n], as every
-    # transfer polynomial does; uneven supports can take more
+    # 2 when p and q share the support [-n, n], as every transfer
+    # polynomial does; uneven supports can take more
     blocks = -(-max(i + pc.size, k + qc.size) // m)
     buf = np.zeros((2, blocks * m), dtype=complex)
     np.multiply(pc[::-1], (complex(w) ** np.arange(p_lo, p_hi + 1))[::-1], out=buf[0, i:i + pc.size])
@@ -292,7 +288,7 @@ def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: i
     return complex(vals[0] @ vals[1]) / m
 
 
-def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None = None) -> complex:
+def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex) -> complex:
     """Convolution sum_x c_x(p) c_x(q) w**x, cross-checked against quadrature.
 
     Returns the coefficient-side value.  The quadrature side is recomputed
@@ -302,11 +298,10 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
     ------
     ParamViolation
         If w is not on the unit circle within 1e-10.
-    ValueError
-        If ``nodes`` is less than 1.
     QuadratureDivergence
-        If the two sides differ by more than 1e-6 or either is NaN (node
-        count too small for the polynomial degree, or a NaN coefficient).
+        If the two sides differ by more than 1e-6 or either is NaN.  The
+        circle rule is exact for any degree, so that means a NaN coefficient
+        or a defect in the quadrature.
     """
     w = complex(w)
     if not abs(abs(w) - 1.0) <= INPUT_NORM_TOL:
@@ -321,11 +316,11 @@ def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex, nodes: int | None =
         cp = pc[lo - p_lo: hi - p_lo + 1]
         cq = qc[lo - q_lo: hi - q_lo + 1]
         coef = complex((cp * cq) @ w ** np.arange(lo, hi + 1))
-    quad = cross_series_quadrature(p, q, w, nodes)
+    quad = cross_series_quadrature(p, q, w)
     if not abs(coef - quad) <= CROSS_CHECK_TOL:
         raise QuadratureDivergence(
             f"coefficient side {coef!r} and quadrature side {quad!r} differ by "
-            f"{abs(coef - quad):.3e}; increase the node count"
+            f"{abs(coef - quad):.3e}: a NaN coefficient or a quadrature defect"
         )
     return coef
 
@@ -351,7 +346,7 @@ def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
     The result has shape (len(ks), len(shifts), 3, 3) and is real when
     every k is 0.
     """
-    theta = _circle(2 * n + max(map(abs, ks), default=0))
+    theta = _circle(_node_count(2 * n + max(map(abs, ks), default=0)))
     m = theta.size
     table = np.exp(1j * theta)
     cos, sin = table.real, table.imag

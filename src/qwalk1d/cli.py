@@ -364,24 +364,22 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Finite-n contour integrals vs their limits over the n grid."""
     threshold = _threshold(cfg, "asym_pinned")
     ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
-    # the circle rule takes 2n + max|k| + 16 nodes
+    # the circle rule takes cheb_engine._node_count(2n + max|k|) nodes
     _require_within_max(cfg, n_grid)
     _require_within_max(cfg, [abs(k) for k in ks], "|k|")
     s = polar(cfg.coin).s
     limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
     # The vanishing entries carry roundoff on the scale of U_{n-1}^2, so each
     # n holds them to parity_zero * max(1, mean(U_{n-1}^2)).  That mean is the
-    # D entry at k = 0, xi = 0, added to the grid when the config lacks it.
-    grid_ks = ks if 0 in ks else [0, *ks]
-    grid_xis = xis if 0.0 in xis else [0.0, *xis]
-    dk, dxi = len(grid_ks) - len(ks), len(grid_xis) - len(xis)
+    # D entry at k = 0, xi = 0, which leads every grid; a repeated shift 0
+    # shares its column, and k = 0 leaves max|k| as it is.
     rows, final_gaps, parity_ok = [], [], True
     for n in n_grid:
-        grid = limit_law.asym_grid(n, grid_ks, grid_xis, s)
-        bound = cfg.tol["parity_zero"] * max(1.0, grid[grid_ks.index(0), grid_xis.index(0.0), 3].real)
+        grid = limit_law.asym_grid(n, [0, *ks], [0.0, *xis], s)
+        bound = cfg.tol["parity_zero"] * max(1.0, grid[0, 0, 3].real)
         vanishing = []
         for (a, k), (b, xi) in itertools.product(enumerate(ks), enumerate(xis)):
-            fin = grid[a + dk, b + dxi]
+            fin = grid[a + 1, b + 1]
             gaps = [abs(f - l) for f, l in zip(fin, limits[(k, xi)])]
             if n == n_grid[-1]:
                 final_gaps.extend(gaps)

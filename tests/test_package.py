@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -88,6 +89,14 @@ def test_coefficient_recurrence_is_gone():
 def test_fold_helper_is_gone():
     # the quadrature side folds both factors in one buffer; the tests' Horner sum is its oracle
     assert not hasattr(qwalk1d.cheb_engine, "_fold")
+
+
+def test_node_count_override_is_gone():
+    # the convolution check always takes the B + 16 circle rule
+    for fn in (qwalk1d.cross_series, qwalk1d.cross_series_quadrature):
+        assert list(inspect.signature(fn).parameters) == ["p", "q", "w"]
+    assert list(inspect.signature(qwalk1d.cheb_engine._node_count).parameters) == ["band"]
+    assert list(inspect.signature(qwalk1d.cheb_engine._circle).parameters) == ["m"]
 
 
 def test_algebra_check_has_no_matmul():
