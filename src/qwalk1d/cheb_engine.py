@@ -164,8 +164,8 @@ def _circle_mean(f, band: float) -> np.ndarray:
     ``f`` maps an array of angles to values whose last axis runs over them;
     the result has the remaining shape.  The trapezoid rule converges
     geometrically on such integrands (Trefethen & Weideman, SIAM Review 56,
-    2014).  The node count m starts at the power of two >= ceil(band) + 16 and
-    doubles, evaluating only the new midpoints, until two successive means
+    2014).  The node count m starts at the power of two >=
+    ``_node_count(ceil(band))`` and doubles, evaluating only the new midpoints, until two successive means
     agree within ``_QUAD_TOL``.  Powers of two matter: the limit-law
     integrands are invariant under theta -> pi - theta, so their Fourier
     coefficients obey c_{-j} = (-1)^j c_j; at an odd m the aliases c_{+-m}
@@ -180,11 +180,11 @@ def _circle_mean(f, band: float) -> np.ndarray:
         count already reaches it or ``band`` is NaN (checked before ``f`` is
         called).
     """
-    if not band + 16 <= _MAX_NODES // 2:  # else the starting count reaches the cap
+    if not _node_count(band) <= _MAX_NODES // 2:  # else the starting count reaches the cap
         raise QuadratureFailure(
             f"circle mean of bandwidth {float(band):.3g} needs more than {_MAX_NODES} nodes"
         )
-    m = 1 << (math.ceil(band) + 15).bit_length()
+    m = 1 << (_node_count(math.ceil(band)) - 1).bit_length()
     mean = np.mean(f(_circle(m)), axis=-1)
     while m < _MAX_NODES:
         prev, mean = mean, (mean + np.mean(f(_circle(m) + np.pi / m), axis=-1)) / 2

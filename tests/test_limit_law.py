@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from coeff_oracle import cheb_T_laurent, cheb_U_laurent
+from qwalk1d import cheb_engine
 from qwalk1d.cheb_engine import _MAX_NODES, _circle_mean
 from qwalk1d.coin import hadamard_coin, make_coin, polar, psi_from_phi
 from qwalk1d.direct_walk import distribution, evolve
@@ -497,6 +498,19 @@ class TestQuadratureMachinery:
         for band in (_MAX_NODES // 2 - 15, 10**300, math.inf, math.nan):
             with pytest.raises(QuadratureFailure):
                 _circle_mean(never, band)
+
+    @pytest.mark.parametrize("band", [0, 40.5])
+    def test_start_count_follows_node_count(self, monkeypatch, band):
+        # the first mean runs on the power of two >= _node_count(ceil(band))
+        monkeypatch.setattr(cheb_engine, "_node_count", lambda band: band + 100)
+        counts = []
+
+        def constant(theta):
+            counts.append(theta.size)
+            return np.ones_like(theta)
+
+        assert _circle_mean(constant, band) == pytest.approx(1.0)
+        assert counts[0] == 1 << (math.ceil(band) + 99).bit_length()
 
     def test_csv_table(self):
         d = LimitDensity(R, R, 0.0)
