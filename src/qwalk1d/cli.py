@@ -65,16 +65,16 @@ VERBS = {
     "asym": "contour-integral convergence to closed limits",
 }
 
-# Tolerance defaults; a pinned threshold has none and is None when omitted.
-TOL_DEFAULTS = {
-    "simulate_gap": 1e-10,
-    "algebra": 1e-12,
-    "kolmogorov_pinned": None,
-    "charfn_pinned": None,
-    "asym_pinned": None,
-    "parity_zero": 1e-10,
-    "safety_factor": 1.1,
-}
+# The seven tol.* keys; every one is a required finite number.
+TOL_KEYS = (
+    "simulate_gap",
+    "algebra",
+    "kolmogorov_pinned",
+    "charfn_pinned",
+    "asym_pinned",
+    "parity_zero",
+    "safety_factor",
+)
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,11 @@ class ExperimentConfig:
     """Parsed and validated experiment description; every number is finite.
 
     ``algebra`` maps ``N`` and ``seed`` to ints and ``alpha``/``beta`` to a
-    complex or None; ``asym`` maps ``ks`` to a list of ints, ``xis`` to a list
-    of floats and ``n_grid`` to a list of ints; ``tol`` maps every key of
-    :data:`TOL_DEFAULTS` to a float, or to None for an omitted pinned value.
+    complex, or to None to draw it from the seed; ``asym`` maps ``ks`` to a
+    list of ints, ``xis`` to a list of floats and ``n_grid`` to a list of
+    ints; ``tol`` maps every key of :data:`TOL_KEYS` to a float.  Every n in
+    ``steps``, ``n_grid`` and ``asym["n_grid"]``, and every |k| in
+    ``asym["ks"]``, is at most ``max_n``.
     """
 
     coin: CoinMatrix
@@ -123,11 +125,24 @@ def _complex(pair, name: str) -> complex:
     return complex(_number(pair[0], f"{name}.re"), _number(pair[1], f"{name}.im"))
 
 
-def _object(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
+def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
-        raise InvalidConfig(f"{key} must be a JSON object, got {value!r}")
+        raise InvalidConfig(f"{name} must be a JSON object, got {value!r}")
     return value
+
+
+def _field(raw: dict, key: str, parse, *args):
+    """The required field at the dotted ``key``, as ``parse(value, key, *args)``."""
+    parent, _, leaf = key.rpartition(".")
+    node = _field(raw, parent, _object) if parent else raw
+    if leaf not in node:
+        raise InvalidConfig(f"{key} missing from config")
+    return parse(node[leaf], key, *args)
+
+
+def _phase(value, name: str) -> complex | None:
+    """A [re, im] phase, or None for a JSON null: draw it from algebra.seed."""
+    return None if value is None else _complex(value, name)
 
 
 def _list(values, name: str, parse) -> list:
@@ -136,8 +151,8 @@ def _list(values, name: str, parse) -> list:
     return [parse(v, f"{name}[{i}]") for i, v in enumerate(values)]
 
 
-def _grid(values, name: str, low: int) -> list[int]:
-    out = _list(values, name, lambda v, where: _integer(v, where, low))
+def _grid(values, name: str, low: int, high: int) -> list[int]:
+    out = _list(values, name, lambda v, where: _integer(v, where, low, high))
     if any(b <= a for a, b in zip(out, out[1:])):
         raise InvalidConfig(f"{name} must be strictly increasing")
     return out
@@ -146,8 +161,10 @@ def _grid(values, name: str, low: int) -> list[int]:
 def load_config(path: str | None) -> ExperimentConfig:
     """Load a JSON config, or the packaged default when path is None.
 
-    The only place config values are parsed: every field comes back typed
-    and finite, and anything malformed raises :class:`InvalidConfig`.
+    The only place config values are parsed and :class:`InvalidConfig` is
+    raised.  Every field is required (the parser holds no defaults), comes
+    back typed and finite, and every n and |k| is at most ``max_n``: once a
+    config loads, no verb rejects it.
     """
     try:
         if path is None:
@@ -161,59 +178,45 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config must be a JSON object, got {type(raw).__name__}")
-    version = raw.get("schema_version")
-    if type(version) is not int or version != 1:  # JSON true and 1.0 both equal 1
-        raise InvalidConfig(f"unsupported schema_version {version!r}")
-    coin_raw = _object(raw, "coin")
+    version = _field(raw, "schema_version", _integer)  # rejects JSON true and 1.0
+    if version != 1:
+        raise InvalidConfig(f"unsupported schema_version {version}")
+    max_n = _field(raw, "max_n", _integer, 0, MAX_N)
     try:
-        coin = make_coin(
-            _complex(coin_raw.get("a"), "coin.a"), _complex(coin_raw.get("b"), "coin.b")
-        )
+        coin = make_coin(_field(raw, "coin.a", _complex), _field(raw, "coin.b", _complex))
     except NormViolation as exc:
         raise InvalidConfig(f"coin failed validation: {exc}") from exc
-    phi_raw = raw.get("phi")
-    if not isinstance(phi_raw, list) or len(phi_raw) != 2:
+    phi = np.array(_field(raw, "phi", _list, _complex))
+    if phi.shape != (2,):
         raise InvalidConfig("phi must be a list of two [re, im] pairs")
-    phi = np.array([_complex(phi_raw[0], "phi[0]"), _complex(phi_raw[1], "phi[1]")])
     try:
         _check_unit(phi)
     except NormViolation as exc:
         raise InvalidConfig(f"phi failed validation: {exc}") from exc
-    xi_grid = _list(raw.get("xi_grid", [0.5, 1.0, 2.0]), "xi_grid", _number)
+    xi_grid = _field(raw, "xi_grid", _list, _number)
     if not any(xi_grid):
         raise InvalidConfig("xi_grid needs a non-zero entry: at xi = 0 every gap is 0")
-    alg = _object(raw, "algebra")
-    asym = _object(raw, "asym")
-    tol_raw = _object(raw, "tol")
-    tol = {}
-    for key, default in TOL_DEFAULTS.items():
-        value = tol_raw.get(key, default)
-        tol[key] = None if value is None and default is None else _number(value, f"tol.{key}")
     return ExperimentConfig(
         coin=coin,
         phi=phi,
-        steps=_grid(raw.get("steps", [1, 2, 3]), "steps", 0),
-        n_grid=_grid(raw.get("n_grid", [125, 250, 500, 1000, 2000]), "n_grid", 1),
+        steps=_field(raw, "steps", _grid, 0, max_n),
+        n_grid=_field(raw, "n_grid", _grid, 1, max_n),
         xi_grid=xi_grid,
         algebra={
-            "N": _integer(alg.get("N", 16), "algebra.N", 3, MAX_ALGEBRA_N),
-            "alpha": None if alg.get("alpha") is None else _complex(alg["alpha"], "algebra.alpha"),
-            "beta": None if alg.get("beta") is None else _complex(alg["beta"], "algebra.beta"),
-            "seed": _integer(alg.get("seed", 0), "algebra.seed", 0),
+            "N": _field(raw, "algebra.N", _integer, 3, MAX_ALGEBRA_N),
+            "alpha": _field(raw, "algebra.alpha", _phase),
+            "beta": _field(raw, "algebra.beta", _phase),
+            "seed": _field(raw, "algebra.seed", _integer, 0),
         },
+        # the circle rule takes cheb_engine._node_count(2n + max|k|) nodes
         asym={
-            "ks": _list(asym.get("ks", [0, 1, 2]), "asym.ks", _integer),
-            "xis": _list(asym.get("xis", [0.0, 1.0]), "asym.xis", _number),
-            "n_grid": _grid(asym.get("n_grid", [200, 2000]), "asym.n_grid", 1),
+            "ks": _field(raw, "asym.ks", _list, lambda v, where: _integer(v, where, -max_n, max_n)),
+            "xis": _field(raw, "asym.xis", _list, _number),
+            "n_grid": _field(raw, "asym.n_grid", _grid, 1, max_n),
         },
-        tol=tol,
-        max_n=_integer(raw.get("max_n", direct_walk.DEFAULT_MAX_STEPS), "max_n", 0, MAX_N),
+        tol={key: _field(raw, f"tol.{key}", _number) for key in TOL_KEYS},
+        max_n=max_n,
     )
-
-
-def _require_within_max(cfg: ExperimentConfig, ns: list[int], what: str = "n") -> None:
-    if max(ns) > cfg.max_n:
-        raise InvalidConfig(f"requested {what} = {max(ns)} exceeds max_n = {cfg.max_n}")
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -243,8 +246,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _threshold(cfg: ExperimentConfig, key: str) -> float:
     """The pinned ``tol.<key>`` times the safety factor."""
-    if cfg.tol[key] is None:
-        raise InvalidConfig(f"tol.{key} missing from config")
     return cfg.tol[key] * cfg.tol["safety_factor"]
 
 
@@ -256,7 +257,6 @@ def _fail(message: str) -> int:
 
 def _limit_setup(cfg: ExperimentConfig) -> tuple[PolarParams, np.ndarray, limit_law.LimitDensity]:
     """Polar split, algebra-basis spin and limit law shared by ``limit`` and ``charfn``."""
-    _require_within_max(cfg, cfg.n_grid)
     pol = polar(cfg.coin)
     psi = psi_from_phi(cfg.phi, pol)
     return pol, psi, limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
@@ -268,7 +268,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     psi = psi_from_phi(cfg.phi, pol)
     rows = []
     failed_n = None
-    # beyond max_n the first next() raises ResourceLimit, before any file is written
     for n, st in direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.steps, cfg.max_n):
         d = direct_walk.distribution(st)
         atomic_write(out_dir / f"direct_n{n}.csv", direct_walk.distribution_to_csv(d))
@@ -364,9 +363,6 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Finite-n contour integrals vs their limits over the n grid."""
     threshold = _threshold(cfg, "asym_pinned")
     ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
-    # the circle rule takes cheb_engine._node_count(2n + max|k|) nodes
-    _require_within_max(cfg, n_grid)
-    _require_within_max(cfg, [abs(k) for k in ks], "|k|")
     s = polar(cfg.coin).s
     limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
     # The vanishing entries carry roundoff on the scale of U_{n-1}^2, so each

@@ -6,9 +6,11 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from qwalk1d.cli import (
     EXIT_PASS,
     MAX_ALGEBRA_N,
     MAX_N,
-    TOL_DEFAULTS,
+    TOL_KEYS,
     atomic_write,
     load_config,
     main,
@@ -72,24 +74,40 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def holder(cfg, key):
+    """The object that holds the field at dotted ``key``, and the key's last part."""
+    *parents, leaf = key.split(".")
+    for name in parents:
+        cfg = cfg[name]
+    return cfg, leaf
+
+
 def replaced(cfg, key, value):
     """cfg with the field at dotted ``key`` set to value; key None replaces it all."""
     if key is None:
         return value
-    *parents, leaf = key.split(".")
-    node = cfg
-    for name in parents:
-        node = node[name]
+    node, leaf = holder(cfg, key)
     node[leaf] = value
     return cfg
 
 
-# Every field of base_config, by dotted path.
-FIELDS = [
-    f"{top}.{sub}" if sub else top
-    for top, value in base_config().items()
-    for sub in ([None] + list(value) if isinstance(value, dict) else [None])
-]
+def deleted(cfg, key):
+    """cfg without the field at dotted ``key``."""
+    node, leaf = holder(cfg, key)
+    del node[leaf]
+    return cfg
+
+
+def fields(cfg):
+    """Every field of cfg, by dotted path."""
+    return [
+        f"{top}.{sub}" if sub else top
+        for top, value in cfg.items()
+        for sub in ([None] + list(value) if isinstance(value, dict) else [None])
+    ]
+
+
+FIELDS = fields(base_config())
 
 
 class TestLoadConfig:
@@ -129,6 +147,24 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(InvalidConfig):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key", FIELDS)
+    def test_every_field_is_required(self, tmp_path, key):
+        path = write_config(tmp_path, deleted(base_config(), key))
+        with pytest.raises(InvalidConfig, match=re.escape(f"{key} missing from config")):
+            load_config(path)
+
+    def test_fields_is_the_whole_schema(self):
+        packaged = resources.files("qwalk1d").joinpath("data/default_config.json").read_text()
+        for raw in (json.loads(packaged), json.loads(HADAMARD_RIGHT.read_text())):
+            assert sorted(fields(raw)) == sorted(FIELDS)
+
+    def test_grids_load_at_max_n(self, tmp_path):
+        cfg = base_config(max_n=100, steps=[0, 100], n_grid=[100])
+        cfg["asym"].update(ks=[-100, 100], n_grid=[100])
+        loaded = load_config(write_config(tmp_path, cfg))
+        assert (loaded.steps, loaded.n_grid) == ([0, 100], [100])
+        assert (loaded.asym["ks"], loaded.asym["n_grid"]) == ([-100, 100], [100])
 
 
 class TestSimulate:
@@ -172,12 +208,12 @@ class TestSimulate:
         assert (out_a / "gaps.csv").read_bytes() == (out_b / "gaps.csv").read_bytes()
 
     def test_max_n_guard(self, tmp_path, capsys):
-        # evolution stops at its first step count beyond max_n, before any file is written
+        # a step count beyond max_n fails the load, before any file is written
         cfg_path = write_config(tmp_path, base_config(max_n=2))
         out = tmp_path / "o"
         code = main(["simulate", "--config", cfg_path, "--out", str(out)])
         assert code == EXIT_BAD_CONFIG
-        assert_one_stderr_line(capsys, "invalid config: n = 3 exceeds")
+        assert_one_stderr_line(capsys, "invalid config: steps[2] must be an integer >= 0 and <= 2, got 3")
         assert not out.exists()
 
     def test_fail_with_impossible_tol(self, tmp_path, capsys):
@@ -379,7 +415,7 @@ class TestAsym:
         def planted_grid(n, ks, xis, s):
             grid = grid_fn(n, ks, xis, s)
             scale = max(1.0, grid[ks.index(0), xis.index(0.0), 3].real)
-            grid[ks.index(1), xis.index(1.0), 0] = 10 * TOL_DEFAULTS["parity_zero"] * scale
+            grid[ks.index(1), xis.index(1.0), 0] = 10 * base_config()["tol"]["parity_zero"] * scale
             planted.append(scale)
             return grid
 
@@ -476,6 +512,50 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, verb, key, val
         cfg_path = write_config(tmp_path, replaced(base_config(), key, value))
     assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_BAD_CONFIG
     assert_one_stderr_line(capsys, "invalid config: ")
+    assert not (tmp_path / "o").exists()  # every config is checked before a verb runs
+
+
+def assert_rejected_at_load(tmp_path, capsys, verb, cfg, message):
+    """main exits 2 with one ``invalid config: <message>`` line and writes nothing."""
+    out = tmp_path / "o"
+    assert main([verb, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert_one_stderr_line(capsys, f"invalid config: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, key",
+    [
+        ("simulate", "steps"),
+        ("limit", "tol.kolmogorov_pinned"),
+        ("charfn", "xi_grid"),
+        ("algebra", "algebra.seed"),
+        ("asym", "asym.n_grid"),
+    ],
+)
+def test_missing_field_exits_2(tmp_path, capsys, verb, key):
+    # the parser holds no defaults: the packaged config is the only default experiment
+    assert_rejected_at_load(tmp_path, capsys, verb, deleted(base_config(), key), f"{key} missing")
+
+
+def test_misspelt_field_exits_2(tmp_path, capsys):
+    cfg = base_config()
+    cfg["stpes"] = cfg.pop("steps")
+    assert_rejected_at_load(tmp_path, capsys, "simulate", cfg, "steps missing from config")
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+@pytest.mark.parametrize("pin", [key for key in TOL_KEYS if key.endswith("_pinned")])
+def test_null_pin_exits_2_for_every_verb(tmp_path, capsys, verb, pin):
+    cfg = replaced(base_config(), f"tol.{pin}", None)
+    assert_rejected_at_load(tmp_path, capsys, verb, cfg, f"tol.{pin} must be a finite number")
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+@pytest.mark.parametrize("key", ["steps", "n_grid", "asym.n_grid", "asym.ks"])
+def test_max_n_bounds_every_grid_for_every_verb(tmp_path, capsys, verb, key):
+    cfg = base_config(max_n=100)
+    assert_rejected_at_load(tmp_path, capsys, verb, replaced(cfg, key, [1, 101]), f"{key}[1] must be")
 
 
 json_values = st.recursive(
@@ -512,9 +592,7 @@ def test_load_config_gives_typed_finite_values_or_invalid_config(tmp_path, key, 
     assert all_ints(cfg.asym["ks"]) and cfg.asym["ks"]
     assert all_finite_floats(cfg.asym["xis"]) and cfg.asym["xis"]
     assert all_ints(cfg.asym["n_grid"])
-    assert set(cfg.tol) == set(TOL_DEFAULTS)
-    for name, tol in cfg.tol.items():
-        assert (tol is None and name.endswith("_pinned")) or all_finite_floats([tol])
+    assert tuple(cfg.tol) == TOL_KEYS and all_finite_floats(cfg.tol.values())
 
 
 class TestMainErrors:

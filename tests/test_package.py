@@ -99,6 +99,27 @@ def test_node_count_override_is_gone():
     assert list(inspect.signature(qwalk1d.cheb_engine._circle).parameters) == ["m"]
 
 
+def test_parser_defaults_are_gone():
+    # every config field is required, and max_n bounds every grid while parsing
+    assert not hasattr(cli, "TOL_DEFAULTS")
+    assert not hasattr(cli, "_require_within_max")
+    assert cli.TOL_KEYS == tuple(cli.load_config(None).tol)
+
+
+def test_invalid_config_is_raised_only_while_parsing():
+    # once a config loads, no verb rejects it
+    tree = ast.parse((REPO / "src" / "qwalk1d" / "cli.py").read_text())
+    raisers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and "InvalidConfig" in ast.unparse(node)
+    }
+    parsers = {"load_config", "_number", "_integer", "_complex", "_object", "_field", "_list", "_grid"}
+    assert raisers <= parsers, raisers - parsers
+
+
 def test_algebra_check_has_no_matmul():
     # a stacked complex @ dispatches once per 2 x 2 mode; algebra_check._mul does not
     tree = ast.parse((REPO / "src" / "qwalk1d" / "algebra_check.py").read_text())
