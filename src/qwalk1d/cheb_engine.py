@@ -15,10 +15,11 @@ samples them in trigonometric form and everything else is a circle mean:
   shift, reads cos(theta), sin(theta) and every phase e^{i k theta} from one
   table of e^{i theta}, and forms the shifted cosines and sines from that
   table by angle addition, so a whole grid of sums costs O(n) per distinct
-  shift plus O(n) per (k, shift) pair;
+  shift plus O(n) per distinct (k, shift) pair;
 - :func:`cross_series_quadrature` evaluates two polynomials at the roots of
-  unity from one buffer holding both coefficient rows: one fold onto the
-  nodes and one FFT per call.
+  unity from one buffer holding both coefficient rows, each placed from
+  p's lowest exponent: one in-place FFT of a (2, m) array per call, with
+  no fold when the supports fit in m, as every transfer pair's do.
 
 Every circle mean takes its nodes from one trapezoid rule, sized by the
 integrand's trigonometric bandwidth B: B + 16 nodes (:func:`_node_count`;
@@ -265,27 +266,32 @@ def cross_series_quadrature(p: LaurentPoly, q: LaurentPoly, w: complex) -> compl
 
     The integrand's exponents span p.lo - q.hi .. p.hi - q.lo, so the circle
     rule of :func:`_node_count` is exact to roundoff.  Both factors go into
-    one zeroed two-row buffer whose length is a multiple of the node count m,
-    each coefficient at the slot of its exponent mod m; one fold of both rows
-    onto m slots and one FFT give exactly the polynomials' values at the m
-    roots of unity, so a node count below the degree would alias as it does
-    with pointwise evaluation.
+    one zeroed two-row buffer, each coefficient of z**x at slot (x - p.lo)
+    mod m: p's row from slot 0 as c_x conj(w)**x, q's from slot (q.lo - p.lo)
+    mod m.  One FFT of the buffer then gives, at the m roots of unity z_j,
+    conj(z_j**-p.lo p(w z_j)) in row 0 and z_j**p.lo q(1/z_j) in row 1, so
+    the conjugating dot product of the rows, over m, is the trapezoid value.
+    That relies on the coefficients being real, as :class:`LaurentPoly`'s
+    are.  Shared supports, as of every transfer pair, fill m slots with room
+    to spare; a row that overruns m is folded onto the m slots first, so a
+    node count below the degree aliases as pointwise evaluation does.
     """
     pc, qc = p.coeffs, q.coeffs
     p_lo, q_lo = p.lo, q.lo
     p_hi, q_hi = p_lo + pc.size - 1, q_lo + qc.size - 1
     m = _node_count(max(abs(p_lo - q_hi), abs(p_hi - q_lo)))
-    # p(w z_j) = sum_x c_x w^x e^{+2 pi i j x / m}: place p reversed, at exponent -x
-    i, k = -p_hi % m, q_lo % m
-    # 2 when p and q share the support [-n, n], as every transfer
-    # polynomial does; uneven supports can take more
-    blocks = -(-max(i + pc.size, k + qc.size) // m)
+    k = (q_lo - p_lo) % m
+    blocks = -(-max(pc.size, k + qc.size) // m)
     buf = np.zeros((2, blocks * m), dtype=complex)
-    np.multiply(pc[::-1], (complex(w) ** np.arange(p_lo, p_hi + 1))[::-1], out=buf[0, i:i + pc.size])
+    # powers over p.lo .. p.hi, not 0 .. p.hi - p.lo: numpy's power is faster
+    # on the transfer polynomials' centred exponents
+    np.multiply(pc, complex(w).conjugate() ** np.arange(p_lo, p_hi + 1), out=buf[0, :pc.size])
     buf[1, k:k + qc.size] = qc
-    folded = buf[:, :m] + buf[:, m:] if blocks == 2 else buf.reshape(2, blocks, m).sum(axis=1)
-    vals = np.fft.fft(folded)
-    return complex(vals[0] @ vals[1]) / m
+    if blocks > 1:
+        buf = buf.reshape(2, blocks, m).sum(axis=1)
+    # in place: numpy then allocates no second array for the values
+    np.fft.fft(buf, out=buf)
+    return complex(np.vdot(buf[0], buf[1])) / m
 
 
 def cross_series(p: LaurentPoly, q: LaurentPoly, w: complex) -> complex:
@@ -341,10 +347,11 @@ def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
     sin(theta) and, at index k j mod m, every phase e^{i k theta}.  The rows
     are sampled once at theta and once per distinct non-zero shift d, whose
     cos(theta + d) and sin(theta + d) come from the table by angle addition
-    rather than by fresh trigonometric passes.  Shifts run in the outer loop
-    and phases in the inner one, so only O(m) arrays are held at a time.
-    The result has shape (len(ks), len(shifts), 3, 3) and is real when
-    every k is 0.
+    rather than by fresh trigonometric passes.  Each distinct k takes one
+    phase row and one product per distinct shift, shared by every repeat of
+    that k or shift.  Shifts run in the outer loop and phases in the inner
+    one, so only O(m) arrays are held at a time.  The result has shape
+    (len(ks), len(shifts), 3, 3) and is real when every k is 0.
     """
     theta = _circle(_node_count(2 * n + max(map(abs, ks), default=0)))
     m = theta.size
@@ -352,9 +359,7 @@ def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
     cos, sin = table.real, table.imag
     rows = _gram_rows(n, s, cos, sin)
     out = np.empty((len(ks), len(shifts), 3, 3), dtype=complex if any(ks) else float)
-    columns: dict[float, list[int]] = {}
-    for b, shift in enumerate(shifts):
-        columns.setdefault(shift, []).append(b)
+    columns, phases = _positions(shifts), _positions(ks)
     for shift, bs in columns.items():
         if shift == 0:
             # a copy: numpy takes rows @ rows.T by a slower A A^T path
@@ -362,14 +367,24 @@ def _cheb_gram(n: int, s: float, shifts, ks=(0,)) -> np.ndarray:
         else:
             cd, sd = math.cos(shift), math.sin(shift)
             other = _gram_rows(n, s, cos * cd - sin * sd, sin * cd + cos * sd)
-        for a, k in enumerate(ks):
+        for k, ak in phases.items():
             if k:
                 # two real products: a complex left factor would make numpy
                 # promote ``other`` to complex and take the slower complex product
                 phase = np.take(table, np.arange(0, k * m, k), mode="wrap")  # table[k j mod m]
-                out[a, bs] = ((rows * phase.real) @ other.T + 1j * ((rows * phase.imag) @ other.T)) / m
+                block = ((rows * phase.real) @ other.T + 1j * ((rows * phase.imag) @ other.T)) / m
             else:
-                out[a, bs] = rows @ other.T / m
+                block = rows @ other.T / m
+            for a in ak:
+                out[a, bs] = block
+    return out
+
+
+def _positions(values) -> dict:
+    """Each distinct value mapped to the list of its positions in ``values``."""
+    out: dict = {}
+    for i, v in enumerate(values):
+        out.setdefault(v, []).append(i)
     return out
 
 
@@ -396,22 +411,41 @@ def char_fn_components(
 
     At xi = 0 the values are exactly (1, 1, 0, 1): the column masses are 1 by
     unitarity and the cross sum is the inner product of two orthogonal
-    columns, so the normalization shortcut is the exact value.
+    columns, so the normalization shortcut is the exact value.  This is the
+    one-entry case of :func:`char_fn_grid`.
+    """
+    return tuple(complex(v) for v in char_fn_grid(psi, n, s, t, [xi])[0])
+
+
+def char_fn_grid(psi: np.ndarray, n: int, s: float, t: float, xis) -> np.ndarray:
+    """:func:`char_fn_components` at every xi of ``xis``, as rows (P, Q, R, E).
+
+    Returns a complex array of shape (len(xis), 4).  Every non-zero xi is a
+    shift of one batched :func:`_cheb_gram` call, which samples the rows once
+    at theta and once per distinct non-zero xi, so the sampling costs O(n)
+    per n and per distinct xi.  Each row takes the same arithmetic as a lone
+    call, so it is bit for bit the one-entry value.
     """
     psi = np.asarray(psi, dtype=complex)
     _check_unit(psi)
     check_polar(s, t)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if xi == 0.0:
-        return (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
-    g = _cheb_gram(n, s, [xi])[0, 0]  # rows T, U, V at theta and theta + xi
-    w = complex(np.cos(xi), np.sin(xi))
-    even = g[0, 0] + g[2, 2]
-    odd = 1j * (g[0, 2] - g[2, 0])
-    comp_p = complex(even + odd + t * t * w * g[1, 1])
-    comp_q = complex(even - odd + t * t * w.conjugate() * g[1, 1])
-    comp_r = complex(-1j * t * (2.0 / s * g[2, 0] + s * np.sin(xi) * g[1, 1]))
+    out = np.empty((len(xis), 4), dtype=complex)
+    out[:] = (1.0, 1.0, 0.0, 1.0)
+    shifted = [b for b, xi in enumerate(xis) if xi != 0.0]
+    if not shifted:
+        return out
     weight = 2.0 * (psi[0] * psi[1].conjugate()).real
-    e = abs(psi[0]) ** 2 * comp_p + abs(psi[1]) ** 2 * comp_q + weight * comp_r
-    return comp_p, comp_q, comp_r, e
+    for b, g in zip(shifted, _cheb_gram(n, s, [xis[b] for b in shifted])[0]):
+        # rows T, U, V at theta and theta + xi
+        xi = xis[b]
+        w = complex(np.cos(xi), np.sin(xi))
+        even = g[0, 0] + g[2, 2]
+        odd = 1j * (g[0, 2] - g[2, 0])
+        comp_p = complex(even + odd + t * t * w * g[1, 1])
+        comp_q = complex(even - odd + t * t * w.conjugate() * g[1, 1])
+        comp_r = complex(-1j * t * (2.0 / s * g[2, 0] + s * np.sin(xi) * g[1, 1]))
+        e = abs(psi[0]) ** 2 * comp_p + abs(psi[1]) ** 2 * comp_q + weight * comp_r
+        out[b] = comp_p, comp_q, comp_r, e
+    return out

@@ -39,7 +39,6 @@ from .errors import (
     PathMismatch,
     QWalkError,
     RelationFailure,
-    ResourceLimit,
 )
 
 EXIT_PASS = 0
@@ -158,13 +157,37 @@ def _grid(values, name: str, low: int, high: int) -> list[int]:
     return out
 
 
+def _reject_unread(raw: dict, read: set[str]) -> None:
+    """Raise :class:`InvalidConfig` naming the first key of ``raw`` that no field read.
+
+    Keys at every level count.  ``read`` holds the dotted keys of every
+    parsed field; their parents are JSON objects once they have parsed.
+    """
+    schema: dict = {}
+    for key in read:
+        node = schema
+        for part in key.split("."):
+            node = node.setdefault(part, {})
+
+    def check(node: dict, known: dict, prefix: str) -> None:
+        for key, value in node.items():
+            if key not in known:
+                raise InvalidConfig(f"{prefix}{key} is not a config field")
+            if known[key]:
+                check(value, known[key], f"{prefix}{key}.")
+
+    check(raw, schema, "")
+
+
 def load_config(path: str | None) -> ExperimentConfig:
     """Load a JSON config, or the packaged default when path is None.
 
     The only place config values are parsed and :class:`InvalidConfig` is
     raised.  Every field is required (the parser holds no defaults), comes
-    back typed and finite, and every n and |k| is at most ``max_n``: once a
-    config loads, no verb rejects it.
+    back typed and finite, and every n and |k| is at most ``max_n``; a key
+    that is not a field, at any level, is rejected once every field has
+    parsed, so a missing field reports first.  Once a config loads, no verb
+    rejects it.
     """
     try:
         if path is None:
@@ -178,45 +201,53 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"config must be a JSON object, got {type(raw).__name__}")
-    version = _field(raw, "schema_version", _integer)  # rejects JSON true and 1.0
+    read: set[str] = set()
+
+    def field(key: str, parse, *args):
+        read.add(key)
+        return _field(raw, key, parse, *args)
+
+    version = field("schema_version", _integer)  # rejects JSON true and 1.0
     if version != 1:
         raise InvalidConfig(f"unsupported schema_version {version}")
-    max_n = _field(raw, "max_n", _integer, 0, MAX_N)
+    max_n = field("max_n", _integer, 0, MAX_N)
     try:
-        coin = make_coin(_field(raw, "coin.a", _complex), _field(raw, "coin.b", _complex))
+        coin = make_coin(field("coin.a", _complex), field("coin.b", _complex))
     except NormViolation as exc:
         raise InvalidConfig(f"coin failed validation: {exc}") from exc
-    phi = np.array(_field(raw, "phi", _list, _complex))
+    phi = np.array(field("phi", _list, _complex))
     if phi.shape != (2,):
         raise InvalidConfig("phi must be a list of two [re, im] pairs")
     try:
         _check_unit(phi)
     except NormViolation as exc:
         raise InvalidConfig(f"phi failed validation: {exc}") from exc
-    xi_grid = _field(raw, "xi_grid", _list, _number)
+    xi_grid = field("xi_grid", _list, _number)
     if not any(xi_grid):
         raise InvalidConfig("xi_grid needs a non-zero entry: at xi = 0 every gap is 0")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         coin=coin,
         phi=phi,
-        steps=_field(raw, "steps", _grid, 0, max_n),
-        n_grid=_field(raw, "n_grid", _grid, 1, max_n),
+        steps=field("steps", _grid, 0, max_n),
+        n_grid=field("n_grid", _grid, 1, max_n),
         xi_grid=xi_grid,
         algebra={
-            "N": _field(raw, "algebra.N", _integer, 3, MAX_ALGEBRA_N),
-            "alpha": _field(raw, "algebra.alpha", _phase),
-            "beta": _field(raw, "algebra.beta", _phase),
-            "seed": _field(raw, "algebra.seed", _integer, 0),
+            "N": field("algebra.N", _integer, 3, MAX_ALGEBRA_N),
+            "alpha": field("algebra.alpha", _phase),
+            "beta": field("algebra.beta", _phase),
+            "seed": field("algebra.seed", _integer, 0),
         },
         # the circle rule takes cheb_engine._node_count(2n + max|k|) nodes
         asym={
-            "ks": _field(raw, "asym.ks", _list, lambda v, where: _integer(v, where, -max_n, max_n)),
-            "xis": _field(raw, "asym.xis", _list, _number),
-            "n_grid": _field(raw, "asym.n_grid", _grid, 1, max_n),
+            "ks": field("asym.ks", _list, lambda v, where: _integer(v, where, -max_n, max_n)),
+            "xis": field("asym.xis", _list, _number),
+            "n_grid": field("asym.n_grid", _grid, 1, max_n),
         },
-        tol={key: _field(raw, f"tol.{key}", _number) for key in TOL_KEYS},
+        tol={key: field(f"tol.{key}", _number) for key in TOL_KEYS},
         max_n=max_n,
     )
+    _reject_unread(raw, read)
+    return cfg
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -319,9 +350,9 @@ def cmd_charfn(cfg: ExperimentConfig, out_dir: Path) -> int:
     limits = {xi: limit_law.limit_char_fn(ld, xi) for xi in cfg.xi_grid}
     rows = []
     for n in cfg.n_grid:
+        grid = cheb_engine.char_fn_grid(psi, n, pol.s, pol.t, [xi / n for xi in cfg.xi_grid])
         gaps = []
-        for xi in cfg.xi_grid:
-            _, _, _, e_n = cheb_engine.char_fn_components(psi, n, pol.s, pol.t, xi / n)
+        for xi, e_n in zip(cfg.xi_grid, grid[:, 3]):
             lim = limits[xi]
             gaps.append(abs(e_n - lim))
             rows.append((n, xi, e_n.real, e_n.imag, lim.real, lim.imag, gaps[-1]))
@@ -414,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         # looked up at call time, so a cmd_<verb> swapped into the module is the one run
         verb = globals()[f"cmd_{args.command}"]
         code = verb(cfg, Path(args.out))
-    except (InvalidConfig, DegenerateCoin, NormViolation, ParamViolation, ResourceLimit) as exc:
+    except (InvalidConfig, DegenerateCoin, NormViolation, ParamViolation) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except QWalkError as exc:

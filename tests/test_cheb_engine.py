@@ -426,6 +426,23 @@ class TestDualPath:
                 assert np.max(np.abs(got.probs - ref.probs)) < 1e-10
 
 
+def aliased_mean(p, q, w, m):
+    """The m-node trapezoid mean of p(w z) q(1/z), exactly, from the coefficients.
+
+    The mean of z**d over the m-th roots of unity is 1 when m divides d and
+    0 otherwise, so the mean pairs c_x(p) w**x with c_y(q) wherever x = y
+    mod m.  Summed in 30-digit mpmath, by residue class.
+    """
+    with mpmath.workdps(30):
+        w = mpmath.mpc(w)
+        sums_p, sums_q = [mpmath.mpc(0)] * m, [mpmath.mpf(0)] * m
+        for i, c in enumerate(p.coeffs):
+            sums_p[(p.lo + i) % m] += mpmath.mpf(float(c)) * w ** (p.lo + i)
+        for i, c in enumerate(q.coeffs):
+            sums_q[(q.lo + i) % m] += mpmath.mpf(float(c))
+        return complex(mpmath.fsum(a * b for a, b in zip(sums_p, sums_q)))
+
+
 class TestCrossSeries:
     def test_shared_support(self):
         p = LaurentPoly(lo=-1, coeffs=np.array([1.0, 0.0, 1.0]))
@@ -486,23 +503,50 @@ class TestCrossSeries:
 
     @pytest.mark.parametrize("nodes", [None, 1, 2, 3, 7, 24, 25, 100])
     def test_folded_fft_matches_pointwise_evaluation(self, monkeypatch, nodes):
-        # the same nodes through Horner's LaurentPoly.eval; below the degree
-        # both sides alias the same way
+        # the same nodes through Horner's LaurentPoly.eval and through the
+        # exact aliased sum; below the degree all sides alias the same way
         if nodes:
             monkeypatch.setattr(cheb_engine, "_node_count", lambda band: nodes)
         rng = np.random.default_rng(35)
         quad = transfer_polys(12, 0.6, 0.8)
         odd = LaurentPoly(lo=5, coeffs=rng.normal(size=9))
-        # p on [-40, 1], q at -23: the default m = 40 folds 3 blocks
+        # p on [-40, 1], q at -23: p's 42 coefficients overrun the default m = 40
         wide = LaurentPoly(lo=-40, coeffs=rng.normal(size=42))
         point = LaurentPoly(lo=-23, coeffs=np.array([0.7]))
         pairs = [(quad.p1, quad.p1), (quad.p2, quad.q1), (odd, quad.q2), (quad.q1, odd), (wide, point)]
-        for p, q in pairs:
+        # q more than the patched m to the left or the right of p, q longer
+        # than p, and p on [-50, 50] around a q at 3 (m = 69 < 101).  Horner's
+        # own roundoff reaches 1e-13 at these exponents, so only the exact sum
+        # checks them.
+        left = LaurentPoly(lo=-90, coeffs=rng.normal(size=4))
+        right = LaurentPoly(lo=70, coeffs=rng.normal(size=6))
+        long_q = LaurentPoly(lo=-7, coeffs=rng.normal(size=60))
+        long_p = LaurentPoly(lo=-50, coeffs=rng.normal(size=101))
+        short = LaurentPoly(lo=3, coeffs=rng.normal(size=2))
+        far = [(odd, left), (odd, right), (left, right), (right, left), (odd, long_q), (long_p, short)]
+        for p, q in pairs + far:
             for w in (1.0, -1.0, 1j, complex(np.exp(2.1j))):
                 m = nodes or max(abs(p.lo - q.hi), abs(p.hi - q.lo)) + 16
-                z = np.exp(2j * np.pi * np.arange(m) / m)
-                ref = np.mean(p.eval(w * z) * q.eval(z.conj()))
-                assert abs(cross_series_quadrature(p, q, w) - ref) < 1e-13
+                got = cross_series_quadrature(p, q, w)
+                assert abs(got - aliased_mean(p, q, w, m)) < 1e-13
+                if (p, q) in pairs:
+                    z = np.exp(2j * np.pi * np.arange(m) / m)
+                    assert abs(got - np.mean(p.eval(w * z) * q.eval(z.conj()))) < 1e-13
+
+    def test_shared_support_takes_one_unfolded_fft(self, monkeypatch):
+        # both rows from slot 0 of one (2, m) buffer: p's as c_x conj(w)^x, q's as is
+        fft, handed = np.fft.fft, []
+        monkeypatch.setattr(np.fft, "fft", lambda a, **kw: handed.append(a.copy()) or fft(a, **kw))
+        n, w = 9, complex(np.exp(0.7j))
+        quad = transfer_polys(n, 0.6, 0.8)
+        cross_series_quadrature(quad.p2, quad.q1, w)
+        m = cheb_engine._node_count(2 * n)
+        (buf,) = handed
+        assert buf.shape == (2, m)
+        expected = np.zeros((2, m), dtype=complex)
+        expected[0, :2 * n + 1] = quad.p2.coeffs * w.conjugate() ** np.arange(-n, n + 1)
+        expected[1, :2 * n + 1] = quad.q1.coeffs
+        assert np.array_equal(buf, expected)
 
 
 def coefficient_sums(quad, psi, xi):
@@ -530,6 +574,18 @@ class TestCharFnComponents:
                 ref = coefficient_sums(quad, psi, xi)
                 assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-11
             assert char_fn_components(psi, n, s, t, 0.0) == (1.0 + 0j, 1.0 + 0j, 0j, 1.0 + 0j)
+
+    def test_grid_rows_are_lone_calls(self):
+        # one batched Gram call per n; a repeated xi shares its sampled rows
+        psi = np.array([0.6, 0.48 + 0.64j])
+        xis = [0.0, 0.3, -1.1, 0.3, math.pi]
+        for n in (1, 40, 2000):
+            grid = cheb_engine.char_fn_grid(psi, n, R, R, xis)
+            assert grid.shape == (len(xis), 4)
+            quad = recurrence_quadruple(n, R, R)
+            for row, xi in zip(grid, xis):
+                assert tuple(row) == char_fn_components(psi, n, R, R, xi)
+                assert max(abs(g - r) for g, r in zip(row, coefficient_sums(quad, psi, xi))) < 1e-11
 
     def test_normalization_shortcut(self):
         p, q, r, e = char_fn_components(np.array([R, 1j * R]), 7, 0.6, 0.8, 0.0)
@@ -632,6 +688,19 @@ class TestChebGram:
         got = cheb_engine._cheb_gram(n, s, self.shifts(n), self.KS)
         ref = resampled_gram(n, s, self.shifts(n), self.KS)
         assert np.max(np.abs(got - truth)) <= 2 * np.max(np.abs(ref - truth))
+
+    def test_repeated_k_takes_one_phase_row(self, monkeypatch):
+        # a repeat of k or of a shift reuses its block: 2 distinct shifts x 2 distinct non-zero k
+        take, phase_rows = np.take, []
+        monkeypatch.setattr(np, "take", lambda *a, **kw: phase_rows.append(1) or take(*a, **kw))
+        ks = [1, 0, 1, -2, 0, -2]
+        g = cheb_engine._cheb_gram(40, 0.6, [0.0, 0.1, 0.0], ks)
+        assert len(phase_rows) == 4
+        for a, k in enumerate(ks):
+            assert np.array_equal(g[a], g[ks.index(k)])
+        assert np.array_equal(g[:, 0], g[:, 2])
+        lone = cheb_engine._cheb_gram(40, 0.6, [0.0, 0.1], [-2, 0, 1])
+        assert np.array_equal(g[[3, 1, 0]][:, :2], lone)
 
     def test_real_without_phases(self):
         # the e^{i theta} table is always built, but only a non-zero k makes the result complex

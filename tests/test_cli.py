@@ -315,6 +315,16 @@ class TestCharFn:
         assert main(["charfn", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
         assert_one_stderr_line(capsys, "charfn: ")
 
+    def test_samples_rows_once_per_n_and_distinct_shift(self, tmp_path, monkeypatch):
+        calls = []
+        rows = cheb_engine._cheb_rows
+        monkeypatch.setattr(cheb_engine, "_cheb_rows", lambda *a: calls.append(a[0]) or rows(*a))
+        cfg = base_config(xi_grid=[0.0, 0.5, 1.0, 0.5])
+        assert main(["charfn", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == EXIT_PASS
+        # 2 n values x (theta + 2 distinct non-zero xi); one call per
+        # (n, xi) entry would sample 2 x 3 x 2 = 12 times
+        assert sorted(calls) == [25] * 3 + [50] * 3
+
 
 class TestAlgebra:
     def test_pass_writes_report(self, tmp_path):
@@ -542,6 +552,22 @@ def test_misspelt_field_exits_2(tmp_path, capsys):
     cfg = base_config()
     cfg["stpes"] = cfg.pop("steps")
     assert_rejected_at_load(tmp_path, capsys, "simulate", cfg, "steps missing from config")
+
+
+@pytest.mark.parametrize(
+    "verb, key, value",
+    [
+        ("simulate", "stpes", [1, 2]),
+        ("simulate", "coin.c", [0.0, 0.0]),
+        ("algebra", "algebra.sed", 3),
+        ("asym", "asym.kss", [0]),
+        ("algebra", "tol.algebra_tol", 1.0),
+    ],
+)
+def test_unknown_key_exits_2(tmp_path, capsys, verb, key, value):
+    # one test per level; a misspelt copy next to the real field would otherwise be dropped
+    cfg = replaced(base_config(), key, value)
+    assert_rejected_at_load(tmp_path, capsys, verb, cfg, f"{key} is not a config field")
 
 
 @pytest.mark.parametrize("verb", list(cli.VERBS))

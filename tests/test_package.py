@@ -87,7 +87,8 @@ def test_coefficient_recurrence_is_gone():
 
 
 def test_fold_helper_is_gone():
-    # the quadrature side folds both factors in one buffer; the tests' Horner sum is its oracle
+    # the quadrature side places both factors from p's lowest exponent and folds only
+    # a row that overruns the nodes; the tests' Horner sum is its oracle
     assert not hasattr(qwalk1d.cheb_engine, "_fold")
 
 
@@ -116,8 +117,19 @@ def test_invalid_config_is_raised_only_while_parsing():
         for node in ast.walk(fn)
         if isinstance(node, ast.Raise) and "InvalidConfig" in ast.unparse(node)
     }
-    parsers = {"load_config", "_number", "_integer", "_complex", "_object", "_field", "_list", "_grid"}
+    parsers = {"load_config", "_number", "_integer", "_complex", "_object", "_field", "_list", "_grid",
+               "_reject_unread"}
     assert raisers <= parsers, raisers - parsers
+
+
+def test_main_maps_no_resource_limit_to_exit_2():
+    # max_n bounds steps at load, so no verb raises ResourceLimit; evolve_snapshots keeps its own check
+    tree = ast.parse((REPO / "src" / "qwalk1d" / "cli.py").read_text())
+    main = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    exit_2 = [h for h in handlers if "EXIT_BAD_CONFIG" in ast.unparse(h)]
+    assert exit_2 and all("ResourceLimit" not in ast.unparse(h.type) for h in exit_2)
+    assert not hasattr(cli, "ResourceLimit")
 
 
 def test_algebra_check_has_no_matmul():
