@@ -121,6 +121,13 @@ def _columns(tn: np.ndarray, um: np.ndarray, s: float, t: float) -> tuple[np.nda
     return p1, t * z_um, -t * zinv_um, q2
 
 
+def _check_walk(n: int, s: float, t: float) -> None:
+    """The closed form's entry checks: :func:`~qwalk1d.coin.check_polar`, then n >= 0."""
+    check_polar(s, t)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+
+
 def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
     """Build the four column polynomials for the n-step operator.
 
@@ -139,9 +146,7 @@ def transfer_polys(n: int, s: float, t: float) -> TransferQuadruple:
     ValueError
         If n is negative.
     """
-    check_polar(s, t)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_walk(n, s, t)
     return TransferQuadruple(*(LaurentPoly(-n, c) for c in _columns(*_cheb_coeffs(n, s), s, t)))
 
 
@@ -251,9 +256,7 @@ def qn_distribution(psi: np.ndarray, n: int, s: float, t: float) -> Distribution
     """
     psi = np.asarray(psi, dtype=complex)
     _check_unit(psi)
-    check_polar(s, t)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_walk(n, s, t)
     p1, p2, q1, q2 = _columns(*_cheb_coeffs(n, s), s, t)
     a1 = psi[0] * p1 + psi[1] * q1
     a2 = psi[0] * p2 + psi[1] * q2
@@ -428,9 +431,7 @@ def char_fn_grid(psi: np.ndarray, n: int, s: float, t: float, xis) -> np.ndarray
     """
     psi = np.asarray(psi, dtype=complex)
     _check_unit(psi)
-    check_polar(s, t)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_walk(n, s, t)
     out = np.empty((len(xis), 4), dtype=complex)
     out[:] = (1.0, 1.0, 0.0, 1.0)
     shifted = [b for b, xi in enumerate(xis) if xi != 0.0]

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cheb_engine, direct_walk, limit_law
 from .algebra_check import RelationReport, build_rep, verify_relations
-from .coin import CoinMatrix, PolarParams, _check_unit, make_coin, polar, psi_from_phi
+from .coin import INPUT_NORM_TOL, CoinMatrix, PolarParams, _check_unit, make_coin, polar, psi_from_phi
 from .errors import (
     DegenerateCoin,
     InvalidConfig,
@@ -80,15 +80,18 @@ TOL_KEYS = (
 class ExperimentConfig:
     """Parsed and validated experiment description; every number is finite.
 
-    ``algebra`` maps ``N`` and ``seed`` to ints and ``alpha``/``beta`` to a
-    complex, or to None to draw it from the seed; ``asym`` maps ``ks`` to a
-    list of ints, ``xis`` to a list of floats and ``n_grid`` to a list of
-    ints; ``tol`` maps every key of :data:`TOL_KEYS` to a float.  Every n in
-    ``steps``, ``n_grid`` and ``asym["n_grid"]``, and every |k| in
-    ``asym["ks"]``, is at most ``max_n``.
+    ``polar`` is the coin's split a = s alpha, b = t beta, which passes
+    :func:`qwalk1d.coin.check_polar`.  ``algebra`` maps ``N`` and ``seed``
+    to ints and ``alpha``/``beta`` to a unit-modulus complex, or to None to
+    draw it from the seed; ``asym`` maps ``ks`` to a list of ints, ``xis``
+    to a list of floats and ``n_grid`` to a list of ints; ``tol`` maps every
+    key of :data:`TOL_KEYS` to a float.  Every n in ``steps``, ``n_grid``
+    and ``asym["n_grid"]``, and every |k| in ``asym["ks"]``, is at most
+    ``max_n``.
     """
 
     coin: CoinMatrix
+    polar: PolarParams
     phi: np.ndarray
     steps: list[int]
     n_grid: list[int]
@@ -140,8 +143,11 @@ def _field(raw: dict, key: str, parse, *args):
 
 
 def _phase(value, name: str) -> complex | None:
-    """A [re, im] phase, or None for a JSON null: draw it from algebra.seed."""
-    return None if value is None else _complex(value, name)
+    """A unit [re, im] phase, or None for a JSON null: draw it from algebra.seed."""
+    phase = None if value is None else _complex(value, name)
+    if phase is not None and not abs(abs(phase) - 1.0) <= INPUT_NORM_TOL:
+        raise InvalidConfig(f"{name} must have unit modulus, got |{name}| = {abs(phase)!r}")
+    return phase
 
 
 def _list(values, name: str, parse) -> list:
@@ -184,10 +190,11 @@ def load_config(path: str | None) -> ExperimentConfig:
 
     The only place config values are parsed and :class:`InvalidConfig` is
     raised.  Every field is required (the parser holds no defaults), comes
-    back typed and finite, and every n and |k| is at most ``max_n``; a key
-    that is not a field, at any level, is rejected once every field has
-    parsed, so a missing field reports first.  Once a config loads, no verb
-    rejects it.
+    back typed and finite, and every n and |k| is at most ``max_n``.  The
+    coin's ``polar`` split is taken here, so a coin without one (a or b
+    zero, or s or t rounding to 0 or 1) is rejected.  A key that is not a
+    field, at any level, is rejected once every field has parsed, so a
+    missing field reports first.  Once a config loads, no verb rejects it.
     """
     try:
         if path is None:
@@ -213,7 +220,8 @@ def load_config(path: str | None) -> ExperimentConfig:
     max_n = field("max_n", _integer, 0, MAX_N)
     try:
         coin = make_coin(field("coin.a", _complex), field("coin.b", _complex))
-    except NormViolation as exc:
+        pol = polar(coin)
+    except (NormViolation, DegenerateCoin, ParamViolation) as exc:
         raise InvalidConfig(f"coin failed validation: {exc}") from exc
     phi = np.array(field("phi", _list, _complex))
     if phi.shape != (2,):
@@ -227,6 +235,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise InvalidConfig("xi_grid needs a non-zero entry: at xi = 0 every gap is 0")
     cfg = ExperimentConfig(
         coin=coin,
+        polar=pol,
         phi=phi,
         steps=field("steps", _grid, 0, max_n),
         n_grid=field("n_grid", _grid, 1, max_n),
@@ -286,23 +295,21 @@ def _fail(message: str) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _limit_setup(cfg: ExperimentConfig) -> tuple[PolarParams, np.ndarray, limit_law.LimitDensity]:
-    """Polar split, algebra-basis spin and limit law shared by ``limit`` and ``charfn``."""
-    pol = polar(cfg.coin)
-    psi = psi_from_phi(cfg.phi, pol)
-    return pol, psi, limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(cfg.phi, cfg.coin))
+def _limit_setup(cfg: ExperimentConfig) -> tuple[np.ndarray, limit_law.LimitDensity]:
+    """Algebra-basis spin and limit law shared by ``limit`` and ``charfn``."""
+    lam = limit_law.lambda_phi(cfg.phi, cfg.coin)
+    return psi_from_phi(cfg.phi, cfg.polar), limit_law.LimitDensity(cfg.polar.s, cfg.polar.t, lam)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Direct and closed-form distributions per step count, plus their gap."""
-    pol = polar(cfg.coin)
-    psi = psi_from_phi(cfg.phi, pol)
+    psi = psi_from_phi(cfg.phi, cfg.polar)
     rows = []
     failed_n = None
     for n, st in direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.steps, cfg.max_n):
         d = direct_walk.distribution(st)
         atomic_write(out_dir / f"direct_n{n}.csv", direct_walk.distribution_to_csv(d))
-        q = cheb_engine.qn_distribution(psi, n, pol.s, pol.t)
+        q = cheb_engine.qn_distribution(psi, n, cfg.polar.s, cfg.polar.t)
         atomic_write(out_dir / f"cheb_n{n}.csv", direct_walk.distribution_to_csv(q))
         if q.offset != d.offset or q.probs.shape != d.probs.shape:
             raise PathMismatch(
@@ -328,14 +335,14 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> int:
     direct evolution, so n up to ``max_n`` is in reach.
     """
     threshold = _threshold(cfg, "kolmogorov_pinned")
-    pol, psi, ld = _limit_setup(cfg)
+    psi, ld = _limit_setup(cfg)
     rows = []
     for n in cfg.n_grid:
-        q = cheb_engine.qn_distribution(psi, n, pol.s, pol.t)
+        q = cheb_engine.qn_distribution(psi, n, cfg.polar.s, cfg.polar.t)
         rows.append((n, limit_law.kolmogorov_distance(q, ld, n)))
         print(f"limit n={n}: D_n = {rows[-1][1]:.6g}")
     _write_csv(out_dir / "kolmogorov.csv", "n,Dn", rows)
-    ys = np.linspace(-pol.s, pol.s, 401)
+    ys = np.linspace(-cfg.polar.s, cfg.polar.s, 401)
     atomic_write(out_dir / "density_cdf.csv", limit_law.density_cdf_csv(ld, ys))
     final_n, final_d = rows[-1]
     if not final_d < threshold:
@@ -346,11 +353,11 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_charfn(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Gap between the finite-n characteristic function at xi/n and its limit."""
     threshold = _threshold(cfg, "charfn_pinned")
-    pol, psi, ld = _limit_setup(cfg)
+    psi, ld = _limit_setup(cfg)
     limits = {xi: limit_law.limit_char_fn(ld, xi) for xi in cfg.xi_grid}
     rows = []
     for n in cfg.n_grid:
-        grid = cheb_engine.char_fn_grid(psi, n, pol.s, pol.t, [xi / n for xi in cfg.xi_grid])
+        grid = cheb_engine.char_fn_grid(psi, n, cfg.polar.s, cfg.polar.t, [xi / n for xi in cfg.xi_grid])
         gaps = []
         for xi, e_n in zip(cfg.xi_grid, grid[:, 3]):
             lim = limits[xi]
@@ -370,15 +377,9 @@ def cmd_algebra(cfg: ExperimentConfig, out_dir: Path) -> int:
     rng = np.random.default_rng(alg["seed"])
     alpha = alg["alpha"] if alg["alpha"] is not None else complex(np.exp(2j * np.pi * rng.random()))
     beta = alg["beta"] if alg["beta"] is not None else complex(np.exp(2j * np.pi * rng.random()))
-    try:
-        pol = polar(cfg.coin)
-        s_val, t_val = pol.s, pol.t
-    except (DegenerateCoin, ParamViolation):
-        # the moduli enter only the two scaled identities; check them at the Hadamard values
-        s_val = t_val = math.sqrt(0.5)
     rep = build_rep(alg["N"], alpha, beta)
     try:
-        report = verify_relations(rep, tol=cfg.tol["algebra"], s=s_val, t=t_val)
+        report = verify_relations(rep, tol=cfg.tol["algebra"], s=cfg.polar.s, t=cfg.polar.t)
     except RelationFailure as exc:
         atomic_write(out_dir / "relation_report.json", RelationReport(exc.report).to_json())
         return _fail("algebra: FAILED identities: " + ", ".join(exc.failing))
@@ -394,15 +395,14 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Finite-n contour integrals vs their limits over the n grid."""
     threshold = _threshold(cfg, "asym_pinned")
     ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
-    s = polar(cfg.coin).s
-    limits = {(k, xi): limit_law.asym_limits(k, xi, s) for k in ks for xi in xis}
+    limits = {(k, xi): limit_law.asym_limits(k, xi, cfg.polar.s) for k in ks for xi in xis}
     # The vanishing entries carry roundoff on the scale of U_{n-1}^2, so each
     # n holds them to parity_zero * max(1, mean(U_{n-1}^2)).  That mean is the
     # D entry at k = 0, xi = 0, which leads every grid; a repeated shift 0
     # shares its column, and k = 0 leaves max|k| as it is.
     rows, final_gaps, parity_ok = [], [], True
     for n in n_grid:
-        grid = limit_law.asym_grid(n, [0, *ks], [0.0, *xis], s)
+        grid = limit_law.asym_grid(n, [0, *ks], [0.0, *xis], cfg.polar.s)
         bound = cfg.tol["parity_zero"] * max(1.0, grid[0, 0, 3].real)
         vanishing = []
         for (a, k), (b, xi) in itertools.product(enumerate(ks), enumerate(xis)):
@@ -445,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         # looked up at call time, so a cmd_<verb> swapped into the module is the one run
         verb = globals()[f"cmd_{args.command}"]
         code = verb(cfg, Path(args.out))
-    except (InvalidConfig, DegenerateCoin, NormViolation, ParamViolation) as exc:
+    except InvalidConfig as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except QWalkError as exc:

@@ -140,8 +140,6 @@ def evolve(phi: np.ndarray, c: CoinMatrix, n: int, max_steps: int = DEFAULT_MAX_
     ResourceLimit
         If n exceeds ``max_steps`` (default 100000).
     """
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
     (_, st), = _snapshots(phi, c, [n], max_steps)
     return st
 

@@ -32,7 +32,7 @@ from qwalk1d.cli import (
 from qwalk1d import cheb_engine, cli, direct_walk, limit_law
 from qwalk1d.coin import CoinMatrix, polar
 from qwalk1d.direct_walk import Distribution
-from qwalk1d.errors import InvalidConfig
+from qwalk1d.errors import InvalidConfig, ParamViolation
 
 R = math.sqrt(0.5)
 HADAMARD_RIGHT = Path(__file__).resolve().parent.parent / "configs" / "hadamard_right.json"
@@ -449,12 +449,36 @@ def near_one_coin_config():
     return replaced(cfg, "tol.asym_pinned", 100.0)
 
 
-@pytest.mark.parametrize("verb, key", [("charfn", "xi_grid"), ("asym", "asym.xis")])
-def test_unreachable_limit_quadrature_is_one_failed_check(tmp_path, capsys, verb, key):
-    # the circle rule would need about 1e300 nodes; it refuses before allocating
-    cfg_path = write_config(tmp_path, replaced(base_config(), key, [1e300]))
+@pytest.mark.parametrize(
+    "verb, changes",
+    [
+        ("charfn", {"xi_grid": [1e300]}),
+        ("asym", {"asym.xis": [1e300]}),
+        # a |k| within max_n whose limit integral still needs more than the node cap
+        ("asym", {"max_n": 10**6, "asym.ks": [0, 600000], "asym.n_grid": [1]}),
+    ],
+    ids=["charfn-xi_grid", "asym-asym.xis", "asym-asym.ks"],
+)
+def test_unreachable_limit_quadrature_is_one_failed_check(tmp_path, capsys, verb, changes):
+    # the circle rule would need more than _MAX_NODES nodes; it refuses before allocating
+    cfg = base_config()
+    for key, value in changes.items():
+        cfg = replaced(cfg, key, value)
+    cfg_path = write_config(tmp_path, cfg)
     assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
     assert_one_stderr_line(capsys, "check failed: ")
+
+
+@pytest.mark.parametrize("verb", ["simulate", "limit"])
+def test_library_error_after_load_is_one_failed_check(tmp_path, capsys, monkeypatch, verb):
+    # only InvalidConfig and an unwritable --out map to exit 2; any other library error is exit 1
+    def rejects(psi, n, s, t):
+        raise ParamViolation("planted")
+
+    monkeypatch.setattr(cheb_engine, "qn_distribution", rejects)
+    cfg_path = write_config(tmp_path, base_config())
+    assert main([verb, "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILED
+    assert_one_stderr_line(capsys, "check failed: planted")
 
 
 MALFORMED = [
@@ -470,6 +494,9 @@ MALFORMED = [
     ("asym", "asym.ks", [0, 1.5]),
     ("asym", "asym.xis", [math.nan]),
     ("algebra", "coin.a", [math.nan, 0.0]),
+    # build_rep would reject them after loading
+    ("algebra", "algebra.alpha", [2.0, 0.0]),
+    ("algebra", "algebra.beta", [0.0, 0.5]),
     ("limit", "phi", [[math.nan, 0.0], [0.0, R]]),
     ("limit", "tol.kolmogorov_pinned", math.inf),
     ("charfn", "xi_grid", [-math.inf, 1.0]),
@@ -495,16 +522,16 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("verb", ["simulate", "limit", "charfn", "asym"])
+@pytest.mark.parametrize("verb", list(cli.VERBS))
 @pytest.mark.parametrize(
     "coin",
     [{"a": [1.0, 0.0], "b": [0.0, 0.0]}, {"a": [1.0, 0.0], "b": [1e-9, 0.0]}],
     ids=["b_zero", "s_rounds_to_1"],
 )
 def test_degenerate_coin_is_invalid_config(tmp_path, capsys, verb, coin):
-    # no closed form to compare with, so nothing would be checked; |b| = 1e-9
-    # passes the coin's norm check but leaves s = 1.0 after rounding.  Every
-    # tolerance is 1e-30, so any check that ran would fail with exit 1.
+    # no polar split, so no closed form and no scaled identity to check; |b| =
+    # 1e-9 passes the coin's norm check but leaves s = 1.0 after rounding.
+    # Every tolerance is 1e-30, so any check that ran would fail with exit 1.
     cfg = base_config(coin=coin)
     cfg["tol"] = dict.fromkeys(cfg["tol"], 1e-30)
     cfg_path = write_config(tmp_path, cfg)
@@ -608,13 +635,14 @@ def test_load_config_gives_typed_finite_values_or_invalid_config(tmp_path, key, 
     except InvalidConfig:
         return
     assert isinstance(cfg.coin, CoinMatrix)
+    assert cfg.polar == polar(cfg.coin)
     assert all(type(v) is complex and cmath.isfinite(v) for v in (cfg.coin.a, cfg.coin.b))
     assert cfg.phi.shape == (2,) and cfg.phi.dtype == complex and np.all(np.isfinite(cfg.phi))
     assert all_ints(cfg.steps) and all_ints(cfg.n_grid) and all_ints([cfg.max_n])
     assert all_finite_floats(cfg.xi_grid) and any(cfg.xi_grid)
     assert all_ints([cfg.algebra["N"], cfg.algebra["seed"]])
     for phase in (cfg.algebra["alpha"], cfg.algebra["beta"]):
-        assert phase is None or (type(phase) is complex and cmath.isfinite(phase))
+        assert phase is None or (type(phase) is complex and abs(abs(phase) - 1.0) <= 1e-10)
     assert all_ints(cfg.asym["ks"]) and cfg.asym["ks"]
     assert all_finite_floats(cfg.asym["xis"]) and cfg.asym["xis"]
     assert all_ints(cfg.asym["n_grid"])

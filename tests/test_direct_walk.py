@@ -153,6 +153,9 @@ class TestEvolve:
     def test_snapshots_validate_order(self):
         with pytest.raises(ValueError):
             list(evolve_snapshots(np.array([1.0, 0.0]), hadamard_coin(), [5, 3]))
+        # evolve is the one-snapshot case and takes the same check
+        with pytest.raises(ValueError):
+            evolve(np.array([1.0, 0.0]), hadamard_coin(), -1)
 
 
 class TestDistribution:

@@ -50,7 +50,7 @@ def test_caller_less_paths_are_gone():
         assert not hasattr(qwalk1d, name)
         assert not hasattr(module, name)
     assert not hasattr(qwalk1d.WalkState, "amplitude")
-    # polar validates its own split; the verbs call it directly
+    # polar validates its own split; load_config calls it directly
     assert not hasattr(cli, "_polar")
 
 
@@ -117,19 +117,33 @@ def test_invalid_config_is_raised_only_while_parsing():
         for node in ast.walk(fn)
         if isinstance(node, ast.Raise) and "InvalidConfig" in ast.unparse(node)
     }
-    parsers = {"load_config", "_number", "_integer", "_complex", "_object", "_field", "_list", "_grid",
-               "_reject_unread"}
+    parsers = {"load_config", "_number", "_integer", "_complex", "_object", "_field", "_phase", "_list",
+               "_grid", "_reject_unread"}
     assert raisers <= parsers, raisers - parsers
 
 
 def test_main_maps_no_resource_limit_to_exit_2():
-    # max_n bounds steps at load, so no verb raises ResourceLimit; evolve_snapshots keeps its own check
+    # max_n bounds steps at load, so no verb raises ResourceLimit; evolve_snapshots keeps its own check.
+    # A coin without a polar split is an InvalidConfig at load, so exit 2 has two sources only:
+    # the config and an unwritable --out.
     tree = ast.parse((REPO / "src" / "qwalk1d" / "cli.py").read_text())
     main = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "main")
     handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
     exit_2 = [h for h in handlers if "EXIT_BAD_CONFIG" in ast.unparse(h)]
-    assert exit_2 and all("ResourceLimit" not in ast.unparse(h.type) for h in exit_2)
+    assert sorted(ast.unparse(h.type) for h in exit_2) == ["InvalidConfig", "OSError"]
     assert not hasattr(cli, "ResourceLimit")
+
+
+def test_polar_is_taken_only_while_loading():
+    # the split is a pure function of the config: load_config takes it once, the verbs read cfg.polar
+    tree = ast.parse((REPO / "src" / "qwalk1d" / "cli.py").read_text())
+    callers = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "polar"
+    ]
+    assert callers == ["load_config"]
 
 
 def test_algebra_check_has_no_matmul():
