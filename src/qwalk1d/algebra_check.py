@@ -16,16 +16,12 @@ as soon as its two sides exist, so only a few symbols are live at once.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coin import INPUT_NORM_TOL, check_polar, make_coin, split
 from .errors import ParamViolation, RelationFailure
-
-_INV_SQRT2 = math.sqrt(0.5)
-
 
 @dataclass(frozen=True, eq=False)
 class CyclicRep:
@@ -126,12 +122,7 @@ def build_rep(N: int, alpha: complex, beta: complex) -> CyclicRep:
     return CyclicRep(N=N, V=v, W=w, Sigma=sigma, alpha=alpha, beta=beta)
 
 
-def verify_relations(
-    rep: CyclicRep,
-    tol: float = 1e-12,
-    s: float = _INV_SQRT2,
-    t: float = _INV_SQRT2,
-) -> RelationReport:
+def verify_relations(rep: CyclicRep, tol: float, s: float, t: float) -> RelationReport:
     """Residuals of every operator identity the axioms imply.
 
     (s, t) enter only the last two identities, which involve the scaled

@@ -81,11 +81,13 @@ class ExperimentConfig:
     """Parsed and validated experiment description; every number is finite.
 
     ``polar`` is the coin's split a = s alpha, b = t beta, which passes
-    :func:`qwalk1d.coin.check_polar`.  ``algebra`` maps ``N`` and ``seed``
-    to ints and ``alpha``/``beta`` to a unit-modulus complex, or to None to
-    draw it from the seed; ``asym`` maps ``ks`` to a list of ints, ``xis``
-    to a list of floats and ``n_grid`` to a list of ints; ``tol`` maps every
-    key of :data:`TOL_KEYS` to a float.  Every n in ``steps``, ``n_grid``
+    :func:`qwalk1d.coin.check_polar`.  ``psi`` is phi's algebra-basis twin,
+    a unit vector within 1e-10, and ``limit`` the weak-limit law of phi and
+    the coin.  ``algebra`` maps ``N`` and ``seed`` to ints and
+    ``alpha``/``beta`` to a unit-modulus complex, or to None to draw it from
+    the seed; ``asym`` maps ``ks`` to a list of ints, ``xis`` to a list of
+    floats and ``n_grid`` to a list of ints; ``tol`` maps every key of
+    :data:`TOL_KEYS` to a float.  Every n in ``steps``, ``n_grid``
     and ``asym["n_grid"]``, and every |k| in ``asym["ks"]``, is at most
     ``max_n``.
     """
@@ -93,6 +95,8 @@ class ExperimentConfig:
     coin: CoinMatrix
     polar: PolarParams
     phi: np.ndarray
+    psi: np.ndarray
+    limit: limit_law.LimitDensity
     steps: list[int]
     n_grid: list[int]
     xi_grid: list[float]
@@ -163,26 +167,20 @@ def _grid(values, name: str, low: int, high: int) -> list[int]:
     return out
 
 
-def _reject_unread(raw: dict, read: set[str]) -> None:
-    """Raise :class:`InvalidConfig` naming the first key of ``raw`` that no field read.
+def _reject_unread(node: dict, read: set[str], prefix: str = "") -> None:
+    """Raise :class:`InvalidConfig` naming the first key of ``node`` that no field read.
 
     Keys at every level count.  ``read`` holds the dotted keys of every
-    parsed field; their parents are JSON objects once they have parsed.
+    parsed field; a key that only heads some of them is a JSON object once
+    they have parsed, and is walked in turn.  No field's name holds a dot.
     """
-    schema: dict = {}
-    for key in read:
-        node = schema
-        for part in key.split("."):
-            node = node.setdefault(part, {})
-
-    def check(node: dict, known: dict, prefix: str) -> None:
-        for key, value in node.items():
-            if key not in known:
-                raise InvalidConfig(f"{prefix}{key} is not a config field")
-            if known[key]:
-                check(value, known[key], f"{prefix}{key}.")
-
-    check(raw, schema, "")
+    for key, value in node.items():
+        dotted = prefix + key
+        parent = any(r.startswith(dotted + ".") for r in read)
+        if "." in key or not (parent or dotted in read):
+            raise InvalidConfig(f"{dotted} is not a config field")
+        if parent:
+            _reject_unread(value, read, dotted + ".")
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -192,9 +190,12 @@ def load_config(path: str | None) -> ExperimentConfig:
     raised.  Every field is required (the parser holds no defaults), comes
     back typed and finite, and every n and |k| is at most ``max_n``.  The
     coin's ``polar`` split is taken here, so a coin without one (a or b
-    zero, or s or t rounding to 0 or 1) is rejected.  A key that is not a
-    field, at any level, is rejected once every field has parsed, so a
-    missing field reports first.  Once a config loads, no verb rejects it.
+    zero, or s or t rounding to 0 or 1) is rejected.  So are phi's
+    algebra-basis twin ``psi`` and its ``limit`` law, so a phi whose psi is
+    not a unit vector within 1e-10, or whose lambda exceeds 1/s, is
+    rejected too.  A key that is not a field, at any level, is rejected
+    once every field has parsed, so a missing field reports first.  Once a
+    config loads, no verb rejects it.
     """
     try:
         if path is None:
@@ -227,8 +228,10 @@ def load_config(path: str | None) -> ExperimentConfig:
     if phi.shape != (2,):
         raise InvalidConfig("phi must be a list of two [re, im] pairs")
     try:
-        _check_unit(phi)
-    except NormViolation as exc:
+        psi = psi_from_phi(phi, pol)  # checks phi itself first
+        _check_unit(psi)
+        limit = limit_law.LimitDensity(pol.s, pol.t, limit_law.lambda_phi(phi, coin))
+    except (NormViolation, ParamViolation) as exc:
         raise InvalidConfig(f"phi failed validation: {exc}") from exc
     xi_grid = field("xi_grid", _list, _number)
     if not any(xi_grid):
@@ -237,6 +240,8 @@ def load_config(path: str | None) -> ExperimentConfig:
         coin=coin,
         polar=pol,
         phi=phi,
+        psi=psi,
+        limit=limit,
         steps=field("steps", _grid, 0, max_n),
         n_grid=field("n_grid", _grid, 1, max_n),
         xi_grid=xi_grid,
@@ -295,21 +300,14 @@ def _fail(message: str) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _limit_setup(cfg: ExperimentConfig) -> tuple[np.ndarray, limit_law.LimitDensity]:
-    """Algebra-basis spin and limit law shared by ``limit`` and ``charfn``."""
-    lam = limit_law.lambda_phi(cfg.phi, cfg.coin)
-    return psi_from_phi(cfg.phi, cfg.polar), limit_law.LimitDensity(cfg.polar.s, cfg.polar.t, lam)
-
-
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Direct and closed-form distributions per step count, plus their gap."""
-    psi = psi_from_phi(cfg.phi, cfg.polar)
     rows = []
     failed_n = None
     for n, st in direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.steps, cfg.max_n):
         d = direct_walk.distribution(st)
         atomic_write(out_dir / f"direct_n{n}.csv", direct_walk.distribution_to_csv(d))
-        q = cheb_engine.qn_distribution(psi, n, cfg.polar.s, cfg.polar.t)
+        q = cheb_engine.qn_distribution(cfg.psi, n, cfg.polar.s, cfg.polar.t)
         atomic_write(out_dir / f"cheb_n{n}.csv", direct_walk.distribution_to_csv(q))
         if q.offset != d.offset or q.probs.shape != d.probs.shape:
             raise PathMismatch(
@@ -335,15 +333,14 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> int:
     direct evolution, so n up to ``max_n`` is in reach.
     """
     threshold = _threshold(cfg, "kolmogorov_pinned")
-    psi, ld = _limit_setup(cfg)
     rows = []
     for n in cfg.n_grid:
-        q = cheb_engine.qn_distribution(psi, n, cfg.polar.s, cfg.polar.t)
-        rows.append((n, limit_law.kolmogorov_distance(q, ld, n)))
+        q = cheb_engine.qn_distribution(cfg.psi, n, cfg.polar.s, cfg.polar.t)
+        rows.append((n, limit_law.kolmogorov_distance(q, cfg.limit, n)))
         print(f"limit n={n}: D_n = {rows[-1][1]:.6g}")
     _write_csv(out_dir / "kolmogorov.csv", "n,Dn", rows)
     ys = np.linspace(-cfg.polar.s, cfg.polar.s, 401)
-    atomic_write(out_dir / "density_cdf.csv", limit_law.density_cdf_csv(ld, ys))
+    atomic_write(out_dir / "density_cdf.csv", limit_law.density_cdf_csv(cfg.limit, ys))
     final_n, final_d = rows[-1]
     if not final_d < threshold:
         return _fail(f"limit: D_{final_n} = {final_d:.17g} exceeds threshold {threshold:.17g}")
@@ -353,11 +350,10 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_charfn(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Gap between the finite-n characteristic function at xi/n and its limit."""
     threshold = _threshold(cfg, "charfn_pinned")
-    psi, ld = _limit_setup(cfg)
-    limits = {xi: limit_law.limit_char_fn(ld, xi) for xi in cfg.xi_grid}
+    limits = {xi: limit_law.limit_char_fn(cfg.limit, xi) for xi in cfg.xi_grid}
     rows = []
     for n in cfg.n_grid:
-        grid = cheb_engine.char_fn_grid(psi, n, cfg.polar.s, cfg.polar.t, [xi / n for xi in cfg.xi_grid])
+        grid = cheb_engine.char_fn_grid(cfg.psi, n, cfg.polar.s, cfg.polar.t, [xi / n for xi in cfg.xi_grid])
         gaps = []
         for xi, e_n in zip(cfg.xi_grid, grid[:, 3]):
             lim = limits[xi]

@@ -11,6 +11,8 @@ from qwalk1d.algebra_check import CyclicRep, _mul, build_rep, verify_relations
 from qwalk1d.cheb_engine import qn_distribution
 from qwalk1d.errors import ParamViolation, RelationFailure
 
+R = math.sqrt(0.5)  # s = t of the Hadamard coin
+
 EXPECTED_IDENTITIES = {
     "W^2 = -I",
     "V W = W V^-1",
@@ -90,7 +92,7 @@ class TestBuildRep:
         monkeypatch.setattr(np, "kron", boom)
         rep = build_rep(64, complex(np.exp(0.4j)), complex(np.exp(2.2j)))
         assert rep.V.shape == rep.W.shape == rep.Sigma.shape == (64, 2, 2)
-        assert verify_relations(rep, tol=1e-12).max_residual() <= 1e-12
+        assert verify_relations(rep, tol=1e-12, s=R, t=R).max_residual() <= 1e-12
 
     def test_too_small_lattice(self):
         with pytest.raises(ParamViolation):
@@ -106,7 +108,7 @@ class TestBuildRep:
         # operators come from alpha/|alpha| and pass the 1e-12 identity checks
         rep = build_rep(8, alpha, 1.0)
         assert rep.alpha == alpha / abs(alpha)
-        assert verify_relations(rep, tol=1e-12).max_residual() <= 1e-12
+        assert verify_relations(rep, tol=1e-12, s=R, t=R).max_residual() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 16, 64])
@@ -141,7 +143,7 @@ class TestSymbolsMatchDenseOracle:
         delta = np.fft.fft(1e-3 * noise, axis=0)
         broken = CyclicRep(N=n, V=rep.V, W=rep.W + delta, Sigma=rep.Sigma, alpha=rep.alpha, beta=rep.beta)
         with pytest.raises(RelationFailure) as exc_info:
-            verify_relations(broken, tol=1e-12)
+            verify_relations(broken, tol=1e-12, s=R, t=R)
         got = exc_info.value.report
         w_bad = dense.W + dense_from_symbol(delta)
         ref = dense_relations(DenseRep(N=n, V=dense.V, W=w_bad, Sigma=dense.Sigma))
@@ -154,18 +156,18 @@ class TestSymbolsMatchDenseOracle:
 class TestVerifyRelations:
     def test_all_pass_real_case(self):
         rep = build_rep(8, 1.0, 1.0)
-        report = verify_relations(rep, tol=1e-12)
+        report = verify_relations(rep, tol=1e-12, s=R, t=R)
         assert set(report.residuals) == EXPECTED_IDENTITIES
         assert report.max_residual() <= 1e-12
 
     def test_all_pass_random_phases(self):
         rng = np.random.default_rng(41)
         rep = build_rep(8, complex(np.exp(1j * np.pi / 5)), complex(np.exp(1.1j)))
-        report = verify_relations(rep, tol=1e-12)
+        report = verify_relations(rep, tol=1e-12, s=R, t=R)
         assert report.max_residual() <= 1e-12
         for _ in range(5):
             rep = build_rep(5, random_phase(rng), random_phase(rng))
-            verify_relations(rep, tol=1e-12)
+            verify_relations(rep, tol=1e-12, s=R, t=R)
 
     def test_general_s_t(self):
         rep = build_rep(6, complex(np.exp(0.4j)), complex(np.exp(2.2j)))
@@ -175,12 +177,12 @@ class TestVerifyRelations:
     def test_bad_s_t_pair(self):
         rep = build_rep(4, 1.0, 1.0)
         with pytest.raises(ParamViolation):
-            verify_relations(rep, s=0.6, t=0.7)
+            verify_relations(rep, tol=1e-12, s=0.6, t=0.7)
 
     @pytest.mark.parametrize("s, t", [(math.nan, 0.8), (0.6, math.nan), (1.0, 0.0)])
     def test_non_finite_or_edge_s_t(self, s, t):
         with pytest.raises(ParamViolation):
-            verify_relations(build_rep(4, 1.0, 1.0), s=s, t=t)
+            verify_relations(build_rep(4, 1.0, 1.0), tol=1e-12, s=s, t=t)
 
     def test_nan_residual_fails(self):
         rep = build_rep(4, 1.0, 1.0)
@@ -188,7 +190,7 @@ class TestVerifyRelations:
         w_nan[0, 1] = np.nan
         broken = CyclicRep(N=rep.N, V=rep.V, W=w_nan, Sigma=rep.Sigma, alpha=rep.alpha, beta=rep.beta)
         with pytest.raises(RelationFailure) as exc_info:
-            verify_relations(broken, tol=1e-12)
+            verify_relations(broken, tol=1e-12, s=R, t=R)
         assert "W^2 = -I" in exc_info.value.failing
         assert math.isnan(exc_info.value.failing["W^2 = -I"])
 
@@ -198,14 +200,14 @@ class TestVerifyRelations:
         w_bad = rep.W + 0.01 * rng.normal(size=rep.W.shape)
         broken = CyclicRep(N=rep.N, V=rep.V, W=w_bad, Sigma=rep.Sigma, alpha=rep.alpha, beta=rep.beta)
         with pytest.raises(RelationFailure) as exc_info:
-            verify_relations(broken, tol=1e-12)
+            verify_relations(broken, tol=1e-12, s=R, t=R)
         assert "W^2 = -I" in exc_info.value.failing
         assert set(exc_info.value.report) == EXPECTED_IDENTITIES
 
     def test_report_json_round_trip(self):
         import json
 
-        report = verify_relations(build_rep(4, 1.0, 1.0))
+        report = verify_relations(build_rep(4, 1.0, 1.0), tol=1e-12, s=R, t=R)
         parsed = json.loads(report.to_json())
         assert set(parsed) == EXPECTED_IDENTITIES
 
@@ -249,7 +251,9 @@ class TestRelationMemory:
         # one residual at a time; collecting all 25 (lhs, rhs) pairs first peaked at 14.4 MiB
         tracemalloc.start()
         try:
-            verify_relations(build_rep(4096, complex(np.exp(0.3j)), complex(np.exp(-1.1j))))
+            verify_relations(
+                build_rep(4096, complex(np.exp(0.3j)), complex(np.exp(-1.1j))), tol=1e-12, s=R, t=R
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -560,6 +560,37 @@ def assert_rejected_at_load(tmp_path, capsys, verb, cfg, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # |phi| - 1 is just inside 1e-10, and the unit phase -alpha beta that
+        # takes phi to psi moves the norm past it by roundoff
+        {
+            "coin": {
+                "a": [0.4589053123706931, 0.3865306123426146],
+                "b": [-0.2586316534908027, 0.7570400701499316],
+            },
+            "phi": [[0.186516876413583, -0.19597346004692398], [0.9500471032852226, 0.15561606443267437]],
+        },
+        # the top eigenvector of lambda's quadratic form scaled by 1 + 1e-11:
+        # |phi| passes 1e-10, |lambda| = (1 + 1e-11)^2 / s passes 1/s + 1e-12
+        {"phi": [[-0.9238795325205256, 0.0], [0.3826834323689166, 0.0]]},
+    ],
+    ids=["psi_norm", "lambda_beyond_1_over_s"],
+)
+def test_phi_whose_psi_or_limit_breaks_a_bound_is_invalid_config(tmp_path, capsys, verb, changes):
+    # every verb, also those that read neither psi nor the limit law: both are checked at load
+    cfg = dict(json.loads(HADAMARD_RIGHT.read_text()), **changes)
+    assert_rejected_at_load(tmp_path, capsys, verb, cfg, "phi failed validation: ")
+
+
+def test_dotted_key_is_not_a_field(tmp_path, capsys):
+    # a top-level key spelt as a field's dotted path names no field
+    cfg = base_config(**{"coin.a": [R, 0.0]})
+    assert_rejected_at_load(tmp_path, capsys, "simulate", cfg, "coin.a is not a config field")
+
+
 @pytest.mark.parametrize(
     "verb, key",
     [
@@ -638,6 +669,9 @@ def test_load_config_gives_typed_finite_values_or_invalid_config(tmp_path, key, 
     assert cfg.polar == polar(cfg.coin)
     assert all(type(v) is complex and cmath.isfinite(v) for v in (cfg.coin.a, cfg.coin.b))
     assert cfg.phi.shape == (2,) and cfg.phi.dtype == complex and np.all(np.isfinite(cfg.phi))
+    assert cfg.psi.shape == (2,) and abs(np.linalg.norm(cfg.psi) - 1.0) <= 1e-10
+    lam = limit_law.lambda_phi(cfg.phi, cfg.coin)
+    assert cfg.limit == limit_law.LimitDensity(cfg.polar.s, cfg.polar.t, lam)
     assert all_ints(cfg.steps) and all_ints(cfg.n_grid) and all_ints([cfg.max_n])
     assert all_finite_floats(cfg.xi_grid) and any(cfg.xi_grid)
     assert all_ints([cfg.algebra["N"], cfg.algebra["seed"]])

@@ -135,15 +135,21 @@ def test_main_maps_no_resource_limit_to_exit_2():
 
 
 def test_polar_is_taken_only_while_loading():
-    # the split is a pure function of the config: load_config takes it once, the verbs read cfg.polar
+    # the split, psi and the limit law are pure functions of the config: load_config takes
+    # each once, and the verbs read cfg.polar, cfg.psi and cfg.limit
     tree = ast.parse((REPO / "src" / "qwalk1d" / "cli.py").read_text())
-    callers = [
-        getattr(top, "name", None)
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "polar"
-    ]
-    assert callers == ["load_config"]
+    derived = ["polar", "psi_from_phi", "lambda_phi", "LimitDensity"]
+    callers = {
+        name: [
+            getattr(top, "name", None)
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == name
+        ]
+        for name in derived
+    }
+    assert callers == {name: ["load_config"] for name in derived}
+    assert not hasattr(cli, "_limit_setup")
 
 
 def test_algebra_check_has_no_matmul():
