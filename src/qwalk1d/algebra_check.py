@@ -54,7 +54,8 @@ class RelationReport:
     residuals: dict
 
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        """The largest residual, or NaN if any residual is NaN."""
+        return float(np.max(list(self.residuals.values())))
 
     def to_json(self) -> str:
         return json.dumps(self.residuals, indent=2)

@@ -5,8 +5,10 @@ Verbs: ``simulate`` (direct vs closed-form distributions), ``limit``
 ``charfn`` (characteristic-function convergence), ``algebra`` (operator
 identity residuals), ``asym`` (contour-integral convergence).  Every command
 is deterministic given its config, writes CSV/JSON outputs atomically, and
-exits 0 only when its numeric checks pass (1 on a failed check, 2 on an
-invalid config).
+returns its numeric checks (:class:`Check`) in the order it judged them.
+``main`` alone turns them into an exit code: 0 when every check passes, 1
+with the first failing check's message as the one stderr line, and 2 on an
+invalid config.
 
 Convergence thresholds are pinned: each was produced by a one-time oracle
 run recorded in the repository, is stored in the default config, and is
@@ -294,16 +296,27 @@ def _threshold(cfg: ExperimentConfig, key: str) -> float:
     return cfg.tol[key] * cfg.tol["safety_factor"]
 
 
-def _fail(message: str) -> int:
-    """Report a failed check as one stderr line; the verb returns the exit code."""
-    print(message, file=sys.stderr)
-    return EXIT_CHECK_FAILED
+@dataclass(frozen=True)
+class Check:
+    """One numeric verdict of a verb: ``value`` judged against ``bound``.
+
+    ``passed`` is the verb's own comparison: strict ``<`` for every gap,
+    D_n, char-fn and parity check, ``<=`` for the algebra residuals, so a
+    NaN never passes.  ``message`` is the stderr line ``main`` prints when
+    this is the first failing check of the run.
+    """
+
+    name: str
+    value: float
+    bound: float
+    passed: bool
+    message: str
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     """Direct and closed-form distributions per step count, plus their gap."""
-    rows = []
-    failed_n = None
+    tol = cfg.tol["simulate_gap"]
+    rows, checks = [], []
     for n, st in direct_walk.evolve_snapshots(cfg.phi, cfg.coin, cfg.steps, cfg.max_n):
         d = direct_walk.distribution(st)
         atomic_write(out_dir / f"direct_n{n}.csv", direct_walk.distribution_to_csv(d))
@@ -316,17 +329,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
             )
         gap = float(np.max(np.abs(d.probs - q.probs)))
         rows.append((n, gap))
-        ok = gap < cfg.tol["simulate_gap"]
-        print(f"simulate n={n}: max |direct - cheb| = {gap:.3e} [{'ok' if ok else 'FAIL'}]")
-        if not ok and failed_n is None:
-            failed_n = n
+        checks.append(Check(f"gap[n={n}]", gap, tol, gap < tol, f"simulate: first failing n = {n}"))
+        print(f"simulate n={n}: max |direct - cheb| = {gap:.3e} [{'ok' if checks[-1].passed else 'FAIL'}]")
     _write_csv(out_dir / "gaps.csv", "n,max_abs_gap", rows)
-    if failed_n is not None:
-        return _fail(f"simulate: first failing n = {failed_n}")
-    return EXIT_PASS
+    return checks
 
 
-def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     """Kolmogorov distance between the rescaled distribution and the limit CDF.
 
     Each distribution comes from the closed form in O(n log n), not from
@@ -342,12 +351,11 @@ def cmd_limit(cfg: ExperimentConfig, out_dir: Path) -> int:
     ys = np.linspace(-cfg.polar.s, cfg.polar.s, 401)
     atomic_write(out_dir / "density_cdf.csv", limit_law.density_cdf_csv(cfg.limit, ys))
     final_n, final_d = rows[-1]
-    if not final_d < threshold:
-        return _fail(f"limit: D_{final_n} = {final_d:.17g} exceeds threshold {threshold:.17g}")
-    return EXIT_PASS
+    message = f"limit: D_{final_n} = {final_d:.17g} exceeds threshold {threshold:.17g}"
+    return [Check(f"D_n[n={final_n}]", final_d, threshold, final_d < threshold, message)]
 
 
-def cmd_charfn(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_charfn(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     """Gap between the finite-n characteristic function at xi/n and its limit."""
     threshold = _threshold(cfg, "charfn_pinned")
     limits = {xi: limit_law.limit_char_fn(cfg.limit, xi) for xi in cfg.xi_grid}
@@ -362,32 +370,33 @@ def cmd_charfn(cfg: ExperimentConfig, out_dir: Path) -> int:
         row_max = float(np.max(gaps))  # unlike max(), np.max keeps a NaN
         print(f"charfn n={n}: max gap over xi grid = {row_max:.3e}")
     _write_csv(out_dir / "charfn.csv", "n,xi,re_en,im_en,re_limit,im_limit,gap", rows)
-    if not row_max < threshold:
-        return _fail(f"charfn: largest-n row max {row_max:.17g} exceeds threshold {threshold:.17g}")
-    return EXIT_PASS
+    message = f"charfn: largest-n row max {row_max:.17g} exceeds threshold {threshold:.17g}"
+    return [Check(f"row_max[n={cfg.n_grid[-1]}]", row_max, threshold, row_max < threshold, message)]
 
 
-def cmd_algebra(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_algebra(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     """Operator identity residuals on the cyclic representation, as JSON."""
     alg = cfg.algebra
     rng = np.random.default_rng(alg["seed"])
     alpha = alg["alpha"] if alg["alpha"] is not None else complex(np.exp(2j * np.pi * rng.random()))
     beta = alg["beta"] if alg["beta"] is not None else complex(np.exp(2j * np.pi * rng.random()))
     rep = build_rep(alg["N"], alpha, beta)
+    failing = {}
     try:
         report = verify_relations(rep, tol=cfg.tol["algebra"], s=cfg.polar.s, t=cfg.polar.t)
     except RelationFailure as exc:
-        atomic_write(out_dir / "relation_report.json", RelationReport(exc.report).to_json())
-        return _fail("algebra: FAILED identities: " + ", ".join(exc.failing))
+        report, failing = RelationReport(exc.report), exc.failing
     atomic_write(out_dir / "relation_report.json", report.to_json())
-    print(
-        f"algebra N={alg['N']}: all {len(report.residuals)} identities pass "
-        f"(max residual {report.max_residual():.3e})"
-    )
-    return EXIT_PASS
+    if not failing:
+        print(
+            f"algebra N={alg['N']}: all {len(report.residuals)} identities pass "
+            f"(max residual {report.max_residual():.3e})"
+        )
+    message = "algebra: FAILED identities: " + ", ".join(failing)
+    return [Check("max_residual", report.max_residual(), cfg.tol["algebra"], not failing, message)]
 
 
-def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     """Finite-n contour integrals vs their limits over the n grid."""
     threshold = _threshold(cfg, "asym_pinned")
     ks, xis, n_grid = cfg.asym["ks"], cfg.asym["xis"], cfg.asym["n_grid"]
@@ -396,10 +405,10 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> int:
     # n holds them to parity_zero * max(1, mean(U_{n-1}^2)).  That mean is the
     # D entry at k = 0, xi = 0, which leads every grid; a repeated shift 0
     # shares its column, and k = 0 leaves max|k| as it is.
-    rows, final_gaps, parity_ok = [], [], True
+    rows, final_gaps, checks = [], [], []
     for n in n_grid:
         grid = limit_law.asym_grid(n, [0, *ks], [0.0, *xis], cfg.polar.s)
-        bound = cfg.tol["parity_zero"] * max(1.0, grid[0, 0, 3].real)
+        bound = cfg.tol["parity_zero"] * max(1.0, float(grid[0, 0, 3].real))
         vanishing = []
         for (a, k), (b, xi) in itertools.product(enumerate(ks), enumerate(xis)):
             fin = grid[a + 1, b + 1]
@@ -408,15 +417,15 @@ def cmd_asym(cfg: ExperimentConfig, out_dir: Path) -> int:
                 final_gaps.extend(gaps)
             vanishing.extend(abs(v) for v in ((fin[0], fin[3]) if k % 2 else (fin[1], fin[2])))
             rows.append((n, k, xi, *(v for f in fin for v in (f.real, f.imag)), *gaps))
-        parity_ok = parity_ok and np.max(vanishing) < bound
+        worst = float(np.max(vanishing))
+        message = "asym: parity-vanishing columns exceed tolerance"
+        checks.append(Check(f"parity[n={n}]", worst, bound, worst < bound, message))
     _write_csv(out_dir / "asym.csv", "n,k,xi,reA,imA,reB,imB,reC,imC,reD,imD,gapA,gapB,gapC,gapD", rows)
     final_max_gap = float(np.max(final_gaps))
     print(f"asym: max gap at n={n_grid[-1]} is {final_max_gap:.3e} (threshold {threshold:.3e})")
-    if not parity_ok:
-        return _fail("asym: parity-vanishing columns exceed tolerance")
-    if not final_max_gap < threshold:
-        return _fail(f"asym: gap {final_max_gap:.17g} at n={n_grid[-1]} exceeds {threshold:.17g}")
-    return EXIT_PASS
+    message = f"asym: gap {final_max_gap:.17g} at n={n_grid[-1]} exceeds {threshold:.17g}"
+    checks.append(Check(f"gap[n={n_grid[-1]}]", final_max_gap, threshold, final_max_gap < threshold, message))
+    return checks
 
 
 @functools.cache
@@ -440,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         # looked up at call time, so a cmd_<verb> swapped into the module is the one run
         verb = globals()[f"cmd_{args.command}"]
-        code = verb(cfg, Path(args.out))
+        checks = verb(cfg, Path(args.out))
     except InvalidConfig as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -450,7 +459,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"invalid config: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    return code
+    failed = next((check for check in checks if not check.passed), None)
+    if failed is None:
+        return EXIT_PASS
+    print(failed.message, file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

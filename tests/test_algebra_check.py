@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import DenseRep, build_basis, dense_relations, dense_rep, qwr_check
-from qwalk1d.algebra_check import CyclicRep, _mul, build_rep, verify_relations
+from qwalk1d.algebra_check import CyclicRep, RelationReport, _mul, build_rep, verify_relations
 from qwalk1d.cheb_engine import qn_distribution
 from qwalk1d.errors import ParamViolation, RelationFailure
 
@@ -193,6 +193,22 @@ class TestVerifyRelations:
             verify_relations(broken, tol=1e-12, s=R, t=R)
         assert "W^2 = -I" in exc_info.value.failing
         assert math.isnan(exc_info.value.failing["W^2 = -I"])
+
+    def test_nan_sigma_shows_in_the_max_residual(self):
+        # the first two identities do not read Sigma, so a max that keeps its first
+        # entry over a NaN would report a finite residual for a failed report
+        rep = build_rep(4, 1.0, 1.0)
+        sigma_nan = rep.Sigma.copy()
+        sigma_nan[0, 0, 0] = np.nan
+        broken = CyclicRep(N=rep.N, V=rep.V, W=rep.W, Sigma=sigma_nan, alpha=rep.alpha, beta=rep.beta)
+        with pytest.raises(RelationFailure) as exc_info:
+            verify_relations(broken, tol=1e-12, s=R, t=R)
+        residuals = exc_info.value.report
+        assert all(math.isfinite(r) for r in list(residuals.values())[:2])
+        worst = RelationReport(residuals).max_residual()
+        assert type(worst) is float and math.isnan(worst)
+        finite = {k: r for k, r in residuals.items() if not math.isnan(r)}
+        assert RelationReport(finite).max_residual() == max(finite.values())
 
     def test_perturbed_w_fails_named_identity(self):
         rep = build_rep(8, 1.0, 1.0)

@@ -743,6 +743,83 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def packaged_config(tmp_path, **tol):
+    """The packaged config with the given tol.* values replaced, loaded from a file."""
+    raw = json.loads(resources.files("qwalk1d").joinpath("data/default_config.json").read_text())
+    raw["tol"].update(tol)
+    return load_config(write_config(tmp_path, raw, "packaged.json"))
+
+
+CHECK_NAMES = {
+    "simulate": [f"gap[n={n}]" for n in (0, 1, 2, 3, 10, 50)],
+    "limit": ["D_n[n=2000]"],
+    "charfn": ["row_max[n=2000]"],
+    "algebra": ["max_residual"],
+    "asym": [f"parity[n={n}]" for n in (200, 500, 1000, 2000)] + ["gap[n=2000]"],
+}
+
+
+class TestChecks:
+    @pytest.mark.parametrize("verb", list(CHECK_NAMES))
+    def test_packaged_config_passes_every_check_in_order(self, tmp_path, capsys, verb):
+        checks = getattr(cli, f"cmd_{verb}")(packaged_config(tmp_path), tmp_path / "out")
+        assert [check.name for check in checks] == CHECK_NAMES[verb]
+        assert all(check.passed is True for check in checks)
+        assert all_finite_floats(check.value for check in checks)
+        assert all_finite_floats(check.bound for check in checks)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "verb, tol, failing",
+        [
+            ("limit", {"kolmogorov_pinned": 1e-9}, ["D_n[n=2000]"]),
+            ("charfn", {"charfn_pinned": 1e-12}, ["row_max[n=2000]"]),
+            ("algebra", {"algebra": 1e-30}, ["max_residual"]),
+            ("asym", {"parity_zero": 1e-30}, CHECK_NAMES["asym"][:4]),
+            ("asym", {"asym_pinned": 1e-12}, ["gap[n=2000]"]),
+        ],
+        ids=["limit", "charfn", "algebra", "asym-parity", "asym-gap"],
+    )
+    def test_failing_variant_fails_the_named_checks(self, tmp_path, verb, tol, failing):
+        checks = getattr(cli, f"cmd_{verb}")(packaged_config(tmp_path, **tol), tmp_path / "out")
+        assert [check.name for check in checks if not check.passed] == failing
+        assert [check.name for check in checks] == CHECK_NAMES[verb]
+
+    def test_simulate_fails_every_step_with_a_nonzero_gap(self, tmp_path):
+        checks = cli.cmd_simulate(packaged_config(tmp_path, simulate_gap=1e-30), tmp_path / "out")
+        failing = [check.name for check in checks if not check.passed]
+        # both paths give Q_0 as the same point mass, so its gap is exactly 0
+        assert checks[0].value == 0.0 and checks[0].passed
+        assert failing == [check.name for check in checks if check.value > 0.0]
+        assert "gap[n=50]" in failing
+
+    def test_algebra_check_carries_a_nan_residual(self, tmp_path, monkeypatch):
+        def nan_sigma(n, alpha, beta):
+            rep = original(n, alpha, beta)
+            sigma = rep.Sigma.copy()
+            sigma[0, 0, 0] = np.nan
+            return dataclasses.replace(rep, Sigma=sigma)
+
+        original = cli.build_rep
+        monkeypatch.setattr(cli, "build_rep", nan_sigma)
+        [check] = cli.cmd_algebra(packaged_config(tmp_path), tmp_path / "out")
+        assert math.isnan(check.value) and not check.passed
+        assert "sigma W + W sigma = 0" in check.message
+
+    def test_main_reports_the_first_failing_check(self, tmp_path, capsys, monkeypatch):
+        checks = [
+            cli.Check("a", 0.0, 1.0, True, "a failed"),
+            cli.Check("b", math.nan, 1.0, False, "b failed"),
+            cli.Check("c", 3.0, 1.0, False, "c failed"),
+        ]
+        monkeypatch.setattr(cli, "cmd_limit", lambda cfg, out_dir: checks)
+        assert main(["limit", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == "b failed\n"
+        monkeypatch.setattr(cli, "cmd_limit", lambda cfg, out_dir: checks[:1])
+        assert main(["limit", "--out", str(tmp_path)]) == EXIT_PASS
+        assert capsys.readouterr().err == ""
+
+
 class TestAtomicWrite:
     def test_creates_parents_and_replaces(self, tmp_path):
         target = tmp_path / "deep" / "file.csv"

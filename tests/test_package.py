@@ -122,6 +122,21 @@ def test_invalid_config_is_raised_only_while_parsing():
     assert raisers <= parsers, raisers - parsers
 
 
+def test_only_main_gives_a_verdict():
+    # every verb returns its checks; main alone prints the first failing message and picks exit 0 or 1
+    tree = ast.parse((REPO / "src" / "qwalk1d" / "cli.py").read_text())
+    readers = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        and node.id in ("EXIT_PASS", "EXIT_CHECK_FAILED")
+        or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"
+    }
+    assert readers == {"main"}
+    assert not hasattr(cli, "_fail")
+
+
 def test_main_maps_no_resource_limit_to_exit_2():
     # max_n bounds steps at load, so no verb raises ResourceLimit; evolve_snapshots keeps its own check.
     # A coin without a polar split is an InvalidConfig at load, so exit 2 has two sources only:
@@ -156,6 +171,31 @@ def test_algebra_check_has_no_matmul():
     # a stacked complex @ dispatches once per 2 x 2 mode; algebra_check._mul does not
     tree = ast.parse((REPO / "src" / "qwalk1d" / "algebra_check.py").read_text())
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+
+FAILING_PROPERTY_THEN_PASSING = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_hide_later_results(tmp_path):
+    # on a failure hypothesis's report hook imports libcst, whose mypy_extensions import
+    # warns; under filterwarnings = error that aborted the session with INTERNALERROR
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY_THEN_PASSING)
+    argv = [sys.executable, "-m", "pytest", "-q", "-c", str(REPO / "pyproject.toml"),
+            "--rootdir", str(tmp_path), "test_probe.py"]
+    out = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)  # hypothesis writes under cwd
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout, out.stdout[-2000:]
 
 
 def test_import_does_not_load_numpy_polynomial():
